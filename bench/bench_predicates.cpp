@@ -3,8 +3,8 @@
 ///
 /// Times the same predicate through the index-aware planner (the default
 /// Evaluator path: value-index probes, selectivity-ordered clauses, term
-/// memo) and through the naive per-entity scan (planner and grouping fast
-/// path disabled), and emits one machine-readable JSON line per
+/// memo) and through the naive per-entity scan (planner disabled), and
+/// emits one machine-readable JSON line per
 /// (op, scale), in the bench_store format:
 ///
 ///   {"name":"predicate_planner","op":"equality_single","scale":64,
@@ -64,7 +64,6 @@ void RunCase(const char* op, const Database& db, const Predicate& pred,
   Evaluator planned(db);
   Evaluator naive(db);
   naive.set_use_planner(false);
-  naive.set_use_grouping_index(false);
 
   // Warm both paths once: builds the value indexes outside the timed loop
   // (they are maintained incrementally from then on) and checks agreement.

@@ -67,7 +67,6 @@ using isis::Result;
 using isis::datasets::BuildScaledMusic;
 using isis::server::Frame;
 using isis::server::JoinFields;
-using isis::server::LoopbackClient;
 using isis::server::LoopbackTransport;
 using isis::server::MsgType;
 using isis::server::RetryCounters;
@@ -207,8 +206,9 @@ RunResult RunConfig(int threads, int write_every, WalSyncPolicy policy) {
     r.retries += c.retries;
     r.retry_hints += c.retry_hints;
   }
-  LoopbackClient probe(srv.get());
-  if (!probe.Connect("probe").ok()) std::abort();
+  RetryingClient probe(std::make_unique<LoopbackTransport>(srv.get(), "probe"),
+                       RetryOptions());
+  if (!probe.Connect().ok()) std::abort();
   for (const auto& q : kFinalQueries) {
     Result<Frame> resp = probe.Call(MsgType::kQuery, JoinFields({q[0], q[1]}));
     if (!resp.ok() || resp->type != MsgType::kQueryResult) std::abort();

@@ -300,84 +300,6 @@ EntitySet Evaluator::EvaluateSubclass(const Predicate& pred, ClassId v) const {
   return EvaluateSubclass(pred, v, db_.Members(v));
 }
 
-std::optional<EntitySet> Evaluator::TryGroupingIndex(
-    const Predicate& pred, ClassId v, const EntitySet& candidates) const {
-  // Shape: exactly one placed atom, not negated, lhs = e.A (one step),
-  // rhs = a nonempty constant set with no map.
-  const std::vector<int>* only_clause = nullptr;
-  for (const std::vector<int>& clause : pred.clauses) {
-    if (clause.empty()) continue;
-    if (only_clause != nullptr) return std::nullopt;
-    only_clause = &clause;
-  }
-  if (only_clause == nullptr || only_clause->size() != 1) return std::nullopt;
-  const Atom& atom = pred.atoms[(*only_clause)[0]];
-  if (atom.negated) return std::nullopt;
-  if (atom.lhs.origin != Operand::kCandidate || atom.lhs.path.size() != 1) {
-    return std::nullopt;
-  }
-  if (atom.rhs.origin != Operand::kConstant || !atom.rhs.path.empty() ||
-      atom.rhs.constants.empty()) {
-    return std::nullopt;
-  }
-  AttributeId attr = atom.lhs.path[0];
-  if (!db_.schema().HasAttribute(attr)) return std::nullopt;
-  const sdm::AttributeDef& def = db_.schema().GetAttribute(attr);
-  // Supported operators: weak match (union of blocks), superset
-  // (intersection of blocks), and equality for singlevalued attributes
-  // against a singleton constant.
-  bool equality_ok = atom.op == SetOp::kEqual && !def.multivalued &&
-                     atom.rhs.constants.size() == 1;
-  if (atom.op != SetOp::kWeakMatch && atom.op != SetOp::kSuperset &&
-      !equality_ok) {
-    return std::nullopt;
-  }
-  // A grouping on this attribute whose parent covers the candidate class.
-  GroupingId index;
-  for (GroupingId g : db_.schema().AllGroupings()) {
-    const sdm::GroupingDef& gdef = db_.schema().GetGrouping(g);
-    if (gdef.on_attribute == attr &&
-        db_.schema().IsAncestorOrSelf(gdef.parent, v)) {
-      index = g;
-      break;
-    }
-  }
-  if (!index.valid()) return std::nullopt;
-
-  EntitySet matched;
-  if (atom.op == SetOp::kWeakMatch) {
-    for (EntityId c : atom.rhs.constants) {
-      EntitySet block = db_.GetGroupingBlock(index, c);
-      matched.insert(block.begin(), block.end());
-    }
-  } else if (atom.op == SetOp::kSuperset) {
-    bool first = true;
-    for (EntityId c : atom.rhs.constants) {
-      EntitySet block = db_.GetGroupingBlock(index, c);
-      if (first) {
-        matched = std::move(block);
-        first = false;
-      } else {
-        EntitySet kept;
-        for (EntityId e : matched) {
-          if (block.count(e) > 0) kept.insert(e);
-        }
-        matched = std::move(kept);
-      }
-      if (matched.empty()) break;
-    }
-  } else {  // singlevalued equality against one constant
-    matched = db_.GetGroupingBlock(index, *atom.rhs.constants.begin());
-  }
-  // Restrict to the requested candidates (the grouping's parent may be an
-  // ancestor of v, i.e. a superset).
-  EntitySet out;
-  for (EntityId e : matched) {
-    if (candidates.count(e) > 0) out.insert(e);
-  }
-  return out;
-}
-
 std::unordered_map<const Term*, EntitySet> Evaluator::HoistExtents(
     const Predicate& pred) const {
   std::unordered_map<const Term*, EntitySet> hoisted;
@@ -441,10 +363,6 @@ EntitySet Evaluator::EvaluateSubclass(const Predicate& pred, ClassId v,
   if (use_planner_) {
     PlannedPredicate plan(db_, pred, v);
     return plan.Evaluate(candidates);
-  }
-  if (use_grouping_index_) {
-    std::optional<EntitySet> indexed = TryGroupingIndex(pred, v, candidates);
-    if (indexed.has_value()) return std::move(*indexed);
   }
   std::unordered_map<const Term*, EntitySet> hoisted = HoistExtents(pred);
   EntitySet out;

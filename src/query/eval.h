@@ -36,12 +36,9 @@ struct PredicateContext {
 /// the database's attribute-value indexes, clauses are ordered by estimated
 /// selectivity, and term images are memoized per query. With the planner
 /// off, evaluation scans the candidate set and tests the predicate per
-/// entity; `use_grouping_index` (also default-on) then still answers
-/// single-atom predicates from an existing grouping on the same attribute —
-/// the grouping's blocks are exactly the inverted index value -> owners, so
-/// "instruments with family = percussion" reads one block of `by_family`
-/// instead of scanning the class. Results are identical every way
-/// (asserted by tests); bench_predicates measures the ablations.
+/// entity -- the naive reference the planner is tested against. Results
+/// are identical either way (asserted by tests); bench_predicates measures
+/// the difference.
 class Evaluator {
  public:
   explicit Evaluator(const sdm::Database& db) : db_(db) {}
@@ -49,11 +46,6 @@ class Evaluator {
   /// Enables/disables the index-aware planner (ablation hook).
   void set_use_planner(bool on) { use_planner_ = on; }
   bool use_planner() const { return use_planner_; }
-
-  /// Enables/disables the grouping-as-index fast path used when the
-  /// planner is off (ablation hook).
-  void set_use_grouping_index(bool on) { use_grouping_index_ = on; }
-  bool use_grouping_index() const { return use_grouping_index_; }
 
   // --- Type checking. ---
 
@@ -116,12 +108,6 @@ class Evaluator {
   Status CheckTermShape(const Term& term, const PredicateContext& ctx) const;
   /// Orders two entities for kLessEqual/kGreater; nullopt when incomparable.
   std::optional<int> OrderEntities(EntityId a, EntityId b) const;
-  /// Attempts the grouping-as-index fast path for a one-placed-atom
-  /// predicate; nullopt when the shape does not qualify.
-  std::optional<sdm::EntitySet> TryGroupingIndex(
-      const Predicate& pred, ClassId v,
-      const sdm::EntitySet& candidates) const;
-
   /// Images of e/x-independent (class-extent) terms of placed atoms,
   /// fetched once per predicate evaluation instead of once per candidate.
   std::unordered_map<const Term*, sdm::EntitySet> HoistExtents(
@@ -135,7 +121,6 @@ class Evaluator {
 
   const sdm::Database& db_;
   bool use_planner_ = true;
-  bool use_grouping_index_ = true;
 };
 
 }  // namespace isis::query

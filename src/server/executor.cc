@@ -6,6 +6,14 @@
 
 namespace isis::server {
 
+namespace {
+
+/// Most tasks one database lock hold runs under rules 5 and 6: the task
+/// that took the lock plus kMaxBatch - 1 same-mode head-of-lane tasks.
+constexpr int kMaxBatch = 8;
+
+}  // namespace
+
 Executor::Executor(const Options& options, ServerStats* stats)
     : options_(options), stats_(stats) {
   int n = options_.threads > 0 ? options_.threads : 1;
@@ -115,12 +123,12 @@ void Executor::FinishLane(const std::shared_ptr<Lane>& lane,
   if (closed_ && in_flight_ == 0 && ready_.empty()) work_cv_.NotifyAll();
 }
 
-void Executor::DrainBatchLocked(TaskMode mode, int batch,
+void Executor::DrainBatchLocked(TaskMode mode,
                                 std::vector<PostLockFn>* post) {
   // Rules 5 and 6: the hold is already paid for -- drain more same-mode
   // work under it before releasing. Continuations must NOT run here (the
   // lock is still held); they accumulate in `post` for the caller.
-  for (int extra = 1; extra < batch; ++extra) {
+  for (int extra = 1; extra < kMaxBatch; ++extra) {
     Task next;
     std::shared_ptr<Lane> lane;
     std::int64_t lane_id = 0;
@@ -154,7 +162,7 @@ void Executor::RunTask(Task& task) {
       RecordLockWait(/*exclusive=*/false, t0);
       PostLockFn after = task.fn();
       if (after) post.push_back(std::move(after));
-      DrainBatchLocked(TaskMode::kShared, options_.shared_batch, &post);
+      DrainBatchLocked(TaskMode::kShared, &post);
       break;
     }
     case TaskMode::kExclusive: {
@@ -162,7 +170,7 @@ void Executor::RunTask(Task& task) {
       RecordLockWait(/*exclusive=*/true, t0);
       PostLockFn after = task.fn();
       if (after) post.push_back(std::move(after));
-      DrainBatchLocked(TaskMode::kExclusive, options_.exclusive_batch, &post);
+      DrainBatchLocked(TaskMode::kExclusive, &post);
       break;
     }
     case TaskMode::kNone: {

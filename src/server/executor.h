@@ -23,18 +23,18 @@
 ///      the database lock. Serving a request nobody is waiting for anymore
 ///      would only lengthen the queue behind it.
 ///   5. Shared batching: when a worker finishes a kShared task it keeps its
-///      reader hold open and drains up to `shared_batch - 1` more kShared
-///      head-of-lane tasks from *other* ready lanes before releasing. With
-///      the result cache a read is microseconds, so the RwMutex
-///      acquire/release pair dominates; batching amortizes it across
-///      several reads. Lane order (rule 1) is preserved -- only head tasks
-///      are taken, one per lane at a time. A waiting writer can be passed
-///      by at most `shared_batch - 1` reads per hold, a bounded and
-///      deliberate trade; the RwMutex's writer preference still blocks
-///      fresh reader *acquisitions* behind it.
+///      reader hold open and drains up to `kMaxBatch - 1` more kShared
+///      head-of-lane tasks from *other* ready lanes before releasing
+///      (`kMaxBatch` = 8, executor.cc). With the result cache a read is
+///      microseconds, so the RwMutex acquire/release pair dominates;
+///      batching amortizes it across several reads. Lane order (rule 1) is
+///      preserved -- only head tasks are taken, one per lane at a time. A
+///      waiting writer can be passed by at most `kMaxBatch - 1` reads per
+///      hold, a bounded and deliberate trade; the RwMutex's writer
+///      preference still blocks fresh reader *acquisitions* behind it.
 ///   6. Exclusive batching + post-lock continuations: symmetric to rule 5,
-///      a worker holding the *writer* lock drains up to `exclusive_batch -
-///      1` more kExclusive head-of-lane tasks before releasing, so one
+///      a worker holding the *writer* lock drains up to `kMaxBatch - 1`
+///      more kExclusive head-of-lane tasks before releasing, so one
 ///      writer acquisition covers several sessions' mutations. A task body
 ///      may return a continuation, which the worker runs only AFTER the
 ///      database lock is released -- that is where a durable write waits on
@@ -98,12 +98,6 @@ class Executor {
   struct Options {
     int threads = 4;
     int queue_capacity = 64;  ///< Per-lane task bound; beyond this, shed.
-    /// Max kShared tasks run under one reader hold (rule 5); 1 disables
-    /// batching.
-    int shared_batch = 8;
-    /// Max kExclusive tasks run under one writer hold (rule 6); 1 disables
-    /// batching.
-    int exclusive_batch = 8;
   };
 
   /// `stats` may be null (tests); if set, queue depth and lock-wait times
@@ -163,11 +157,10 @@ class Executor {
   /// into the same-mode batch drain (rules 5 and 6) before the hold is
   /// released; every collected continuation runs after it.
   void RunTask(Task& task) ISIS_EXCLUDES(mu_, db_lock_);
-  /// The rule-5/6 drain: runs up to batch-1 more `mode` head-of-lane tasks
-  /// while the caller's lock hold is still open, appending their
+  /// The rule-5/6 drain: runs up to kMaxBatch - 1 more `mode` head-of-lane
+  /// tasks while the caller's lock hold is still open, appending their
   /// continuations to `post`. The caller must hold db_lock_ in `mode`.
-  void DrainBatchLocked(TaskMode mode, int batch,
-                        std::vector<PostLockFn>* post)
+  void DrainBatchLocked(TaskMode mode, std::vector<PostLockFn>* post)
       ISIS_EXCLUDES(mu_);
   /// Claims the head task of some ready lane iff it declares `mode`,
   /// marking the lane running. Lanes whose head needs another mode are

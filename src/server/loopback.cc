@@ -4,126 +4,14 @@
 #include <memory>
 #include <utility>
 
-#include "common/strings.h"
 #include "common/sync.h"
 
 namespace isis::server {
 
-void LoopbackClient::Send(MsgType type, const std::string& payload,
-                          std::function<void(const Frame&)> done) {
-  Frame req;
-  req.type = type;
-  req.seq = next_seq_++;
-  req.payload = payload;
-  // Round-trip through the real wire encoding both ways, so loopback
-  // traffic exercises exactly what a socket would carry.
-  std::string bytes = EncodeFrame(req);
-  Frame decoded;
-  std::size_t consumed = 0;
-  std::string error;
-  if (DecodeFrame(bytes, &decoded, &consumed, &error) != DecodeResult::kOk) {
-    Frame resp;
-    resp.type = MsgType::kError;
-    resp.seq = req.seq;
-    resp.payload = "Internal|loopback encode: " + Escape(error);
-    done(resp);
-    return;
-  }
-  server_->HandleFrame(session_id_, decoded,
-                       [done = std::move(done)](const Frame& resp) {
-                         std::string wire = EncodeFrame(resp);
-                         Frame out;
-                         std::size_t used = 0;
-                         if (DecodeFrame(wire, &out, &used) ==
-                             DecodeResult::kOk) {
-                           done(out);
-                         } else {
-                           done(resp);  // Unreachable; belt and braces.
-                         }
-                       });
-}
-
-Result<Frame> LoopbackClient::Call(MsgType type, const std::string& payload) {
-  Mutex mu;
-  CondVar cv;
-  bool ready = false;
-  Frame result;
-  Send(type, payload, [&](const Frame& resp) {
-    MutexLock lock(mu);
-    result = resp;
-    ready = true;
-    cv.NotifyOne();
-  });
-  MutexLock lock(mu);
-  cv.Wait(lock, [&] { return ready; });
-  return result;
-}
-
-Status LoopbackClient::CallAsync(MsgType type, const std::string& payload,
-                                 std::function<void(const Frame&)> done) {
-  Send(type, payload, std::move(done));
-  return Status::OK();
-}
-
-Status LoopbackClient::Connect(const std::string& client_name) {
-  Result<Frame> resp = Call(MsgType::kHello, JoinFields({client_name}));
-  ISIS_RETURN_NOT_OK(resp.status());
-  if (resp->type != MsgType::kOk) {
-    return Status::Unavailable("hello rejected: " + resp->payload);
-  }
-  std::vector<std::string> fields = SplitFields(resp->payload);
-  if (fields.empty()) return Status::ParseError("malformed hello response");
-  try {
-    session_id_ = std::stoll(fields[0]);
-  } catch (...) {
-    return Status::ParseError("bad session id: " + fields[0]);
-  }
-  return Status::OK();
-}
-
-Result<std::vector<std::string>> LoopbackClient::Query(
-    const std::string& cls, const std::string& predicate) {
-  Result<Frame> resp =
-      Call(MsgType::kQuery, JoinFields({cls, predicate}));
-  ISIS_RETURN_NOT_OK(resp.status());
-  if (resp->type != MsgType::kQueryResult) {
-    return Status::Internal("query failed: " + resp->payload);
-  }
-  std::vector<std::string> fields = SplitFields(resp->payload);
-  if (fields.empty()) return Status::ParseError("empty query result");
-  fields.erase(fields.begin());  // Drop the count; names follow.
-  return fields;
-}
-
-Status LoopbackClient::Assign(const std::string& cls,
-                              const std::string& entity,
-                              const std::string& attr,
-                              const std::string& values) {
-  Result<Frame> resp =
-      Call(MsgType::kAssign, JoinFields({cls, entity, attr, values}));
-  ISIS_RETURN_NOT_OK(resp.status());
-  if (resp->type != MsgType::kOk) {
-    return Status::Internal("assign failed: " + resp->payload);
-  }
-  return Status::OK();
-}
-
-Result<std::string> LoopbackClient::Render() {
-  Result<Frame> resp = Call(MsgType::kRender, "");
-  ISIS_RETURN_NOT_OK(resp.status());
-  if (resp->type != MsgType::kScreen) {
-    return Status::Internal("render failed: " + resp->payload);
-  }
-  std::vector<std::string> fields = SplitFields(resp->payload);
-  if (fields.size() != 2) return Status::ParseError("malformed screen");
-  return fields[0] + "\n" + fields[1];
-}
-
-// --- LoopbackTransport. ---
-
 Result<Frame> LoopbackTransport::CallFrame(const Frame& req) {
-  // The wire round trip, as LoopbackClient::Send -- exercised here on
-  // frames that may carry deadline/write_seq extensions.
+  // Round-trip through the real wire encoding both ways, so loopback
+  // traffic -- header extensions included -- exercises exactly what a
+  // socket would carry.
   std::string bytes = EncodeFrame(req);
   Frame decoded;
   std::size_t consumed = 0;

@@ -1,19 +1,17 @@
 /// \file loopback.h
 /// \brief In-process client transport: frames over function calls.
 ///
-/// The loopback client speaks the real wire protocol -- every request is
+/// LoopbackTransport speaks the real wire protocol -- every request is
 /// encoded with EncodeFrame, re-decoded on the "server side", and the
 /// response makes the same round trip -- so tests and benchmarks exercise
-/// framing, checksums and payload conventions without a socket. Call()
-/// blocks until the response arrives (requests run on the server's worker
-/// pool); CallAsync() returns immediately and is how the backpressure tests
-/// overflow a session's queue.
+/// framing, checksums and payload conventions without a socket. It is a
+/// ClientTransport (retry.h): request flows wrap it in RetryingClient, and
+/// a test that needs a hand-built frame calls CallFrame directly.
 
 #ifndef ISIS_SERVER_LOOPBACK_H_
 #define ISIS_SERVER_LOOPBACK_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "common/result.h"
@@ -23,53 +21,16 @@
 
 namespace isis::server {
 
-/// \brief One client session over an in-process connection.
-///
-/// Not thread-safe: one LoopbackClient per client thread (the server side
-/// is what's concurrent). Connect() performs the hello handshake.
-class LoopbackClient {
- public:
-  explicit LoopbackClient(Server* server) : server_(server) {}
-
-  /// Hello handshake; fills session_id(). Must be called first.
-  Status Connect(const std::string& client_name);
-
-  /// Sends one request and blocks for its response.
-  Result<Frame> Call(MsgType type, const std::string& payload);
-
-  /// Sends one request; `done` fires on a server worker thread.
-  /// The returned status only covers encoding/submission.
-  Status CallAsync(MsgType type, const std::string& payload,
-                   std::function<void(const Frame&)> done);
-
-  // Convenience wrappers for the common requests.
-  Result<std::vector<std::string>> Query(const std::string& cls,
-                                         const std::string& predicate);
-  Status Assign(const std::string& cls, const std::string& entity,
-                const std::string& attr, const std::string& values);
-  Result<std::string> Render();  ///< "message\n<canvas>".
-
-  std::int64_t session_id() const { return session_id_; }
-
- private:
-  /// Encodes, hands the bytes to the server's frame path, decodes the
-  /// response bytes -- the full wire round trip, minus the socket.
-  void Send(MsgType type, const std::string& payload,
-            std::function<void(const Frame&)> done);
-
-  Server* const server_;
-  std::int64_t session_id_ = -1;
-  std::uint32_t next_seq_ = 1;
-};
-
 /// \brief ClientTransport (retry.h) over the in-process connection: what
 /// RetryingClient and the chaos harness drive in tests and benchmarks.
 ///
-/// Like LoopbackClient every frame makes the full encode/decode round trip
-/// both ways -- including the v1 header extensions -- so deadline_ms and
-/// write_seq are exercised as wire bytes, not struct fields. CallFrame
-/// waits deadline-bounded when the request carries a deadline: a response
-/// that never arrives surfaces as an IOError instead of a hang.
+/// Every frame makes the full encode/decode round trip both ways --
+/// including the v1 header extensions -- so deadline_ms and write_seq are
+/// exercised as wire bytes, not struct fields. CallFrame waits
+/// deadline-bounded when the request carries a deadline: a response that
+/// never arrives surfaces as an IOError instead of a hang. Until the first
+/// Reconnect() requests carry session id -1, which only kPing and kHello
+/// accept.
 class LoopbackTransport : public ClientTransport {
  public:
   LoopbackTransport(Server* server, std::string client_name)

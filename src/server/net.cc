@@ -226,7 +226,9 @@ void TcpServer::Run() {
       while (read(wake_read_fd_, drain, sizeof(drain)) > 0) {
       }
     }
-    for (std::size_t i = 0; i < conns_.size(); ++i) {
+    // Only connections that were polled have a pollfd; ones accepted
+    // above are appended to conns_ and wait for the next round.
+    for (std::size_t i = 0; i + 2 < fds.size(); ++i) {
       pollfd& p = fds[2 + i];
       const std::shared_ptr<Conn>& c = conns_[i];
       if (p.revents & (POLLERR | POLLHUP)) c->MarkBroken();
@@ -294,14 +296,6 @@ Status TcpClient::Dial() {
   return Status::OK();
 }
 
-Status TcpClient::Connect(const std::string& host, int port,
-                          const std::string& client_name) {
-  host_ = host;
-  port_ = port;
-  client_name_ = client_name;
-  return Reconnect(-1);
-}
-
 Status TcpClient::Reconnect(std::int64_t resume_sid) {
   ISIS_RETURN_NOT_OK(Dial());
   Frame hello;
@@ -335,35 +329,21 @@ Result<Frame> TcpClient::CallFrame(const Frame& req) {
     CloseFd();  // SPI contract: an error leaves us down until Reconnect.
     return st;
   }
-  // Bound the whole response wait by the request's own budget plus slack
-  // for the wire; after a local timeout the stream is unusable (the late
-  // response would desync it), so the connection dies with the wait.
-  const int budget_ms =
-      req.deadline_ms > 0 ? static_cast<int>(req.deadline_ms) + 250 : 0;
-  const auto start = std::chrono::steady_clock::now();
-  for (;;) {
-    int remaining_ms = 0;
-    if (budget_ms > 0) {
-      auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
-      remaining_ms = budget_ms - static_cast<int>(elapsed);
-      if (remaining_ms <= 0) {
-        CloseFd();
-        return Status::IOError("response timed out");
-      }
-    }
-    Result<Frame> resp = ReadFrame(remaining_ms);
-    if (!resp.ok()) {
-      CloseFd();
-      return resp.status();
-    }
-    if (resp->type == MsgType::kNotify || resp->seq != req.seq) {
-      notifications_.push_back(*resp);
-      continue;
-    }
-    return resp;
+  // Bound the response wait by the request's own budget plus slack for the
+  // wire; after a local timeout the stream is unusable (the late response
+  // would desync it), so the connection dies with the wait.
+  Result<Frame> resp = ReadFrame(
+      req.deadline_ms > 0 ? static_cast<int>(req.deadline_ms) + 250 : 0);
+  if (resp.ok() && (resp->type == MsgType::kNotify || resp->seq != req.seq)) {
+    // Not the answer to this request: the stream is out of step with what
+    // was asked, and nothing later on it can be trusted either.
+    resp = Status::ParseError(std::string("unsolicited ") +
+                              MsgTypeName(resp->type) + " frame (seq " +
+                              std::to_string(resp->seq) + ", awaiting " +
+                              std::to_string(req.seq) + ")");
   }
+  if (!resp.ok()) CloseFd();
+  return resp;
 }
 
 Status TcpClient::WriteAll(const std::string& bytes) {
@@ -414,29 +394,6 @@ Result<Frame> TcpClient::ReadFrame(int deadline_ms) {
     if (errno == EINTR) continue;
     return Status::IOError(std::string("read: ") + std::strerror(errno));
   }
-}
-
-Result<Frame> TcpClient::Call(MsgType type, const std::string& payload) {
-  Frame req;
-  req.type = type;
-  req.seq = next_seq_++;
-  req.payload = payload;
-  ISIS_RETURN_NOT_OK(WriteAll(EncodeFrame(req)));
-  for (;;) {
-    Result<Frame> resp = ReadFrame();
-    ISIS_RETURN_NOT_OK(resp.status());
-    if (resp->type == MsgType::kNotify || resp->seq != req.seq) {
-      notifications_.push_back(*resp);
-      continue;
-    }
-    return resp;
-  }
-}
-
-std::vector<Frame> TcpClient::TakeNotifications() {
-  std::vector<Frame> out;
-  out.swap(notifications_);
-  return out;
 }
 
 }  // namespace isis::server

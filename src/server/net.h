@@ -11,10 +11,10 @@
 /// A malformed frame closes the connection: mid-stream there is no
 /// trustworthy resynchronization point.
 ///
-/// TcpClient is the matching blocking client used by isis_client and the
-/// tests; it is not thread-safe (one per thread). It implements the
-/// ClientTransport SPI (retry.h), so RetryingClient adds deadlines,
-/// backoff and reconnect-with-resume on top of it.
+/// TcpClient is the matching blocking ClientTransport (retry.h):
+/// isis_client and the tests wrap it in RetryingClient, which adds
+/// deadlines, backoff and reconnect-with-resume on top of it. It is not
+/// thread-safe (one per thread).
 
 #ifndef ISIS_SERVER_NET_H_
 #define ISIS_SERVER_NET_H_
@@ -109,36 +109,28 @@ class TcpServer {
   std::vector<std::shared_ptr<Conn>> conns_;  ///< I/O thread only.
 };
 
-/// \brief Blocking protocol client over one TCP connection.
+/// \brief Blocking ClientTransport over one TCP connection.
 ///
-/// Two ways to drive it: the legacy Connect()/Call() pair (one dial, no
-/// deadlines), or the ClientTransport SPI -- construct with an endpoint,
-/// then let RetryingClient own the dialing. Under the SPI every CallFrame
-/// wait is bounded by the request's deadline_ms (plus slack) via poll(2),
-/// and Reconnect() tears down whatever half-open state a failure left.
+/// Reconnect() dials the stored endpoint and says hello; RetryingClient
+/// normally owns that. Every CallFrame wait is bounded by the request's
+/// deadline_ms (plus slack) via poll(2), and Reconnect() tears down
+/// whatever half-open state a failure left. The server answers each
+/// request once and sends nothing unasked (notifications are polled), so
+/// a frame that does not answer the request in flight -- another seq, or
+/// a kNotify -- is a protocol error: CallFrame closes the connection and
+/// fails, and RetryingClient reconnects.
 class TcpClient : public ClientTransport {
  public:
-  TcpClient() = default;  ///< Legacy: endpoint comes from Connect().
-  /// Endpoint-storing form for the transport SPI; does not dial --
-  /// Reconnect() does.
+  /// Stores the endpoint; does not dial -- Reconnect() does.
   TcpClient(std::string host, int port, std::string client_name)
       : host_(std::move(host)),
         port_(port),
         client_name_(std::move(client_name)) {}
   ~TcpClient() override;
 
-  /// Connects and performs the hello handshake (legacy entry point).
-  Status Connect(const std::string& host, int port,
-                 const std::string& client_name);
+  TcpClient(const TcpClient&) = delete;
+  TcpClient& operator=(const TcpClient&) = delete;
 
-  /// Sends one request and blocks for the matching response. Notifications
-  /// or other unsolicited frames arriving first are queued aside and
-  /// returned by TakeNotifications().
-  Result<Frame> Call(MsgType type, const std::string& payload);
-
-  std::vector<Frame> TakeNotifications();
-
-  // ClientTransport.
   Status Reconnect(std::int64_t resume_sid) override;
   Result<Frame> CallFrame(const Frame& req) override;
   std::int64_t session_id() const override { return session_id_; }
@@ -146,18 +138,17 @@ class TcpClient : public ClientTransport {
  private:
   Status Dial();  ///< socket+connect to host_:port_; fd_ valid on success.
   Status WriteAll(const std::string& bytes);
-  /// `deadline_ms` > 0 bounds the wait (plus transport slack); 0 blocks.
-  Result<Frame> ReadFrame(int deadline_ms = 0);
+  /// `deadline_ms` > 0 bounds the wait; 0 blocks.
+  Result<Frame> ReadFrame(int deadline_ms);
   void CloseFd();
 
-  std::string host_;
-  int port_ = 0;
-  std::string client_name_;
+  const std::string host_;
+  const int port_;
+  const std::string client_name_;
   int fd_ = -1;
   std::int64_t session_id_ = -1;
-  std::uint32_t next_seq_ = 1;
+  std::uint32_t next_seq_ = 1;  ///< Hello seqs; callers seq their requests.
   FrameReader reader_;
-  std::vector<Frame> notifications_;
 };
 
 }  // namespace isis::server

@@ -26,10 +26,11 @@
 ///     (the server reaped the old one) re-opens the duplicate window; the
 ///     client surfaces that as a counter, not silent corruption.
 ///
-/// ClientTransport is the one-attempt SPI this wrapper drives: loopback
-/// (loopback.h), TCP (net.h) and the chaos decorator (faults.h) all
-/// implement it, so the retry policy is written once and tested against
-/// injected faults rather than against the network's mood.
+/// ClientTransport is the one-attempt SPI this wrapper drives, and the only
+/// way a client reaches a Server: loopback (loopback.h), TCP (net.h) and
+/// the chaos decorator (faults.h) all implement it, so the retry policy is
+/// written once and tested against injected faults rather than against
+/// the network's mood.
 
 #ifndef ISIS_SERVER_RETRY_H_
 #define ISIS_SERVER_RETRY_H_
@@ -98,7 +99,7 @@ struct RetryCounters {
 };
 
 /// \brief The resilient client: RetryingClient(transport).Call() behaves
-/// like the naive client's Call() under a healthy network and degrades to
+/// like one bare CallFrame() under a healthy network and degrades to
 /// bounded retries under a hostile one. Not thread-safe (like the
 /// transports it wraps).
 class RetryingClient {
@@ -119,7 +120,8 @@ class RetryingClient {
   /// surface as a non-OK status.
   Result<Frame> Call(MsgType type, const std::string& payload);
 
-  // Convenience wrappers matching LoopbackClient's.
+  // Convenience wrappers for the two payload conventions callers repeat:
+  // a kQuery answer as its member names, a kAssign answer as a Status.
   Result<std::vector<std::string>> Query(const std::string& cls,
                                          const std::string& predicate);
   Status Assign(const std::string& cls, const std::string& entity,

@@ -132,7 +132,6 @@ Result<std::unique_ptr<Server>> Server::Open(
   Executor::Options exec_options;
   exec_options.threads = options.threads;
   exec_options.queue_capacity = options.queue_capacity;
-  exec_options.exclusive_batch = options.exclusive_batch;
   server->executor_ =
       std::make_unique<Executor>(exec_options, &server->stats_);
   return server;
@@ -283,6 +282,25 @@ void Server::Finish(const Frame& req, const Frame& resp,
   stats_.RecordRequest(static_cast<int>(req.type), latency,
                        resp.type == MsgType::kError);
   done(resp);
+}
+
+PostLockFn Server::ReplyAfterCommit(store::GroupCommitter::Ticket ticket,
+                                    const Frame& req, Frame resp,
+                                    ResponseCallback done,
+                                    std::chrono::steady_clock::time_point t0) {
+  if (ticket.seq == 0) {
+    Finish(req, resp, done, t0);
+    return {};
+  }
+  return [this, ticket, req, resp = std::move(resp), done = std::move(done),
+          t0]() mutable {
+    // A failed commit leaves the mutation applied in memory but missing
+    // from the log, where recovery would lose it: the client hears the
+    // commit's error, never an OK that claims durability.
+    Status st = committer_->Wait(ticket);
+    LogIfError(st, "server WAL group commit");
+    Finish(req, st.ok() ? resp : ErrorFrame(req, st), done, t0);
+  };
 }
 
 // --- Request routing. ---
@@ -457,33 +475,38 @@ void Server::HandleFrame(std::int64_t session_id, const Frame& request,
         stats_.RecordDedupHit();
         Frame resp = s->last_write_response();
         resp.seq = request.seq;
-        Finish(request, resp, done, t0);
-        return {};
+        return ReplyAfterCommit(s->last_write_ticket(), request,
+                                std::move(resp), std::move(done), t0);
+      }
+      if (committer_ != nullptr) {
+        // A failed WAL write is sticky, so nothing applied from here on
+        // could be logged: refuse the mutation before it touches the
+        // database. Reads keep working.
+        Status wal = committer_->status();
+        if (!wal.ok()) {
+          Finish(request, ErrorFrame(request, wal), done, t0);
+          return {};
+        }
       }
       bool log_wal = false;
       ws_->db().set_intern_frozen(false);
       Frame resp = HandleWriteLocked(s, request, &log_wal);
       ws_->db().set_intern_frozen(true);
       FanOutDeltas();
-      if (request.write_seq != 0) s->set_last_write(request.write_seq, resp);
-      if (!log_wal || committer_ == nullptr) {
-        Finish(request, resp, done, t0);
-        return {};
-      }
       // Enqueue while the writer lock is still held (a queue push, no
       // I/O), so WAL order always equals apply order. The wait -- and the
       // fsync behind it -- happens in the continuation, after the lock is
       // released; until then the reply does not exist.
-      store::GroupCommitter::Ticket ticket =
-          committer_->Enqueue(std::move(wal_type), std::move(wal_payload));
-      return [this, ticket, request, resp, done, t0]() mutable {
-        // Best-effort like the old inline append: the mutation is already
-        // applied, so an error here must not fail the request (the client
-        // would desync from state that exists); it surfaces in the log and
-        // the committer's sticky failure keeps later commits loud.
-        LogIfError(committer_->Wait(ticket), "server WAL group commit");
-        Finish(request, resp, done, t0);
-      };
+      store::GroupCommitter::Ticket ticket;
+      if (log_wal && committer_ != nullptr) {
+        ticket =
+            committer_->Enqueue(std::move(wal_type), std::move(wal_payload));
+      }
+      if (request.write_seq != 0) {
+        s->set_last_write(request.write_seq, resp, ticket);
+      }
+      return ReplyAfterCommit(ticket, request, std::move(resp),
+                              std::move(done), t0);
     };
   } else {
     task = [this, s, request, done, t0]() mutable -> PostLockFn {

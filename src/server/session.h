@@ -41,7 +41,10 @@
 /// commit ticket in a post-lock continuation, after the lock is released.
 /// The fsync that makes a whole batch of mutations durable thus never
 /// blocks readers or the next writer, and under `wal_sync = kGroup` is
-/// paid once per batch instead of once per mutation. Open() replays a
+/// paid once per batch instead of once per mutation. A commit that fails
+/// answers its write kError, and since the committer's failure is sticky,
+/// every later event/assign is refused before it applies; reads keep
+/// answering. Open() replays a
 /// leftover log through per-session replay controllers -- the same
 /// dispatch path that produced it -- then rotates it onto a fresh base
 /// checkpoint. Shutdown() drains the executor, flushes the committer,
@@ -94,9 +97,6 @@ struct ServerOptions {
   /// Replies imply durability under the first two. Ignored when not
   /// durable.
   store::WalSyncPolicy wal_sync = store::WalSyncPolicy::kGroup;
-  /// Mutations one worker runs under a single writer-lock hold
-  /// (executor.h, rule 6); they then commit as one WAL group.
-  int exclusive_batch = 8;
   store::FileEnv* env = nullptr;  ///< nullptr = store::FileEnv::Default().
 };
 
@@ -124,14 +124,21 @@ class Session {
   std::vector<std::string> DrainNotifications();
 
   // Write-dedup window, one write deep (see retry.h): the last applied
-  // write_seq and the response it produced. Lane-serial -- only this
-  // session's exclusive tasks read or write it -- so no lock, like the
-  // controller.
+  // write_seq, the response it produced and the commit ticket of its WAL
+  // record (seq 0 when nothing was logged), so a resend is answered only
+  // once that commit resolved -- with its error if it failed. Lane-serial
+  // -- only this session's exclusive tasks read or write it -- so no lock,
+  // like the controller.
   std::uint64_t last_write_seq() const { return last_write_seq_; }
   const Frame& last_write_response() const { return last_write_resp_; }
-  void set_last_write(std::uint64_t seq, const Frame& resp) {
+  store::GroupCommitter::Ticket last_write_ticket() const {
+    return last_write_ticket_;
+  }
+  void set_last_write(std::uint64_t seq, const Frame& resp,
+                      store::GroupCommitter::Ticket ticket) {
     last_write_seq_ = seq;
     last_write_resp_ = resp;
+    last_write_ticket_ = ticket;
   }
 
  private:
@@ -139,6 +146,7 @@ class Session {
   ui::SessionController ctrl_;
   std::uint64_t last_write_seq_ = 0;  ///< 0 = empty window.
   Frame last_write_resp_;
+  store::GroupCommitter::Ticket last_write_ticket_;
   mutable Mutex mu_;
   /// Class names, or "*".
   std::set<std::string> subs_ ISIS_GUARDED_BY(mu_);
@@ -240,6 +248,15 @@ class Server {
   Frame DoAssign(const Frame& req, bool* log_wal);
   /// Fan out collected deltas to subscribed sessions (exclusive lock held).
   void FanOutDeltas();
+  /// Answers a write whose WAL record holds `ticket`. Seq 0 (nothing was
+  /// logged): replies `resp` now and returns no continuation. Otherwise
+  /// returns the post-lock continuation that waits for the commit, then
+  /// replies `resp` -- or the commit's error, since an OK reply means the
+  /// write is durable.
+  PostLockFn ReplyAfterCommit(store::GroupCommitter::Ticket ticket,
+                              const Frame& req, Frame resp,
+                              ResponseCallback done,
+                              std::chrono::steady_clock::time_point t0);
 
   std::shared_ptr<Session> FindSession(std::int64_t id) const;
   void Finish(const Frame& req, const Frame& resp, ResponseCallback& done,

@@ -177,6 +177,11 @@ Status GroupCommitter::Flush() {
   return WaitForSeq(target);
 }
 
+Status GroupCommitter::status() const {
+  MutexLock lock(mu_);
+  return fail_;
+}
+
 void GroupCommitter::set_writer(WalWriter* wal) {
   MutexLock lock(mu_);
   wal_ = wal;

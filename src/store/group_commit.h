@@ -119,6 +119,11 @@ class GroupCommitter {
   /// last one. For shutdown and WAL rotation.
   [[nodiscard]] Status Flush() ISIS_EXCLUDES(mu_);
 
+  /// OK until a write or sync fails; from then on that first failure, for
+  /// good (see "Error model" above). A caller checks it to refuse a
+  /// mutation that could never be logged before applying it. Thread-safe.
+  [[nodiscard]] Status status() const ISIS_EXCLUDES(mu_);
+
   /// Swaps the underlying writer (after a rotation). The caller must
   /// guarantee the committer is idle: nothing queued, no Wait in flight.
   void set_writer(WalWriter* wal) ISIS_EXCLUDES(mu_);

@@ -138,8 +138,10 @@ TEST(ChaosTest, SeededSchedulesConvergeToTheFaultFreeOracle) {
         Server::Open(datasets::BuildScaledMusic(2), opts);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     oracle_srv = std::move(opened).ValueOrDie();
-    LoopbackClient client(oracle_srv.get());
-    ASSERT_TRUE(client.Connect("oracle").ok());
+    RetryingClient client(
+        std::make_unique<LoopbackTransport>(oracle_srv.get(), "oracle"),
+        RetryOptions());
+    ASSERT_TRUE(client.Connect().ok());
     for (int s = 0; s < kSessions; ++s) {
       for (const Write& w : SessionWrites(s)) {
         ASSERT_TRUE(
@@ -222,8 +224,10 @@ TEST(ChaosTest, SeededSchedulesConvergeToTheFaultFreeOracle) {
     }
 
     // The survivors' state must match the oracle byte for byte.
-    LoopbackClient verifier(srv.get());
-    ASSERT_TRUE(verifier.Connect("verifier").ok());
+    RetryingClient verifier(
+        std::make_unique<LoopbackTransport>(srv.get(), "verifier"),
+        RetryOptions());
+    ASSERT_TRUE(verifier.Connect().ok());
     const std::vector<std::string> preds = OracleQueries();
     for (std::size_t i = 0; i < preds.size(); ++i) {
       Result<Frame> resp = verifier.Call(
@@ -271,8 +275,10 @@ TEST(ChaosTest, DurableGroupCommitConvergesAndSurvivesACrash) {
         Server::Open(datasets::BuildScaledMusic(2), opts);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     std::unique_ptr<Server> oracle_srv = std::move(opened).ValueOrDie();
-    LoopbackClient client(oracle_srv.get());
-    ASSERT_TRUE(client.Connect("oracle").ok());
+    RetryingClient client(
+        std::make_unique<LoopbackTransport>(oracle_srv.get(), "oracle"),
+        RetryOptions());
+    ASSERT_TRUE(client.Connect().ok());
     for (int s = 0; s < kSessions; ++s) {
       for (const Write& w : SessionWrites(s)) {
         ASSERT_TRUE(
@@ -349,8 +355,10 @@ TEST(ChaosTest, DurableGroupCommitConvergesAndSurvivesACrash) {
     // The live survivors must match the oracle byte for byte.
     const std::vector<std::string> preds = OracleQueries();
     {
-      LoopbackClient verifier(srv.get());
-      ASSERT_TRUE(verifier.Connect("verifier").ok());
+      RetryingClient verifier(
+          std::make_unique<LoopbackTransport>(srv.get(), "verifier"),
+          RetryOptions());
+      ASSERT_TRUE(verifier.Connect().ok());
       for (std::size_t i = 0; i < preds.size(); ++i) {
         Result<Frame> resp = verifier.Call(
             MsgType::kQuery, JoinFields({"musicians", preds[i]}));
@@ -368,8 +376,10 @@ TEST(ChaosTest, DurableGroupCommitConvergesAndSurvivesACrash) {
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
     std::unique_ptr<Server> recovered = std::move(reopened).ValueOrDie();
     {
-      LoopbackClient verifier(recovered.get());
-      ASSERT_TRUE(verifier.Connect("verifier").ok());
+      RetryingClient verifier(
+          std::make_unique<LoopbackTransport>(recovered.get(), "verifier"),
+          RetryOptions());
+      ASSERT_TRUE(verifier.Connect().ok());
       for (std::size_t i = 0; i < preds.size(); ++i) {
         Result<Frame> resp = verifier.Call(
             MsgType::kQuery, JoinFields({"musicians", preds[i]}));

@@ -1,8 +1,7 @@
 /// \file grouping_index_test.cpp
-/// \brief Tests for grouping-accelerated predicate evaluation: groupings
-/// double as inverted indexes (value -> owners), and single-atom selection
-/// predicates over a grouped attribute must answer identically through the
-/// fast path and the scan.
+/// \brief Selections over grouped attributes -- the shapes a grouping's
+/// blocks (value -> owners) could answer -- must evaluate identically
+/// through the planner's value-index probes and the naive scan.
 
 #include <gtest/gtest.h>
 
@@ -30,18 +29,14 @@ class GroupingIndexTest : public ::testing::Test {
     plays_ = *s.FindAttribute(musicians_, "plays");
   }
 
-  /// Evaluates three ways — the planner (the default), the grouping fast
-  /// path alone (planner off), and the naive scan — and asserts all agree.
+  /// Evaluates two ways -- the planner (the default) and the naive scan --
+  /// and asserts they agree.
   EntitySet BothWays(const Predicate& p, ClassId v) {
     Evaluator planned(*db_);
-    Evaluator grouped(*db_);
-    grouped.set_use_planner(false);
     Evaluator naive(*db_);
     naive.set_use_planner(false);
-    naive.set_use_grouping_index(false);
     EntitySet scan = naive.EvaluateSubclass(p, v);
     EXPECT_EQ(planned.EvaluateSubclass(p, v), scan);
-    EXPECT_EQ(grouped.EvaluateSubclass(p, v), scan);
     return scan;
   }
 
@@ -61,7 +56,7 @@ class GroupingIndexTest : public ::testing::Test {
 };
 
 TEST_F(GroupingIndexTest, EqualityOnGroupedSinglevaluedAttribute) {
-  // by_family indexes family: `e.family = {percussion}`.
+  // by_family groups instruments on family: `e.family = {percussion}`.
   Atom a;
   a.lhs = Term::Candidate({family_});
   a.op = SetOp::kEqual;
@@ -81,8 +76,8 @@ TEST_F(GroupingIndexTest, WeakMatchUnionsBlocks) {
 }
 
 TEST_F(GroupingIndexTest, SupersetIntersectsBlocks) {
-  // by_instrument indexes plays (multivalued): musicians who play BOTH
-  // viola and violin.
+  // by_instrument groups musicians on plays (multivalued): musicians who
+  // play BOTH viola and violin.
   Atom a;
   a.lhs = Term::Candidate({plays_});
   a.op = SetOp::kSuperset;
@@ -94,8 +89,8 @@ TEST_F(GroupingIndexTest, SupersetIntersectsBlocks) {
 }
 
 TEST_F(GroupingIndexTest, SubclassCandidatesRestrictTheBlock) {
-  // The grouping's parent (musicians) is an ancestor of soloists: the fast
-  // path must restrict the block to the subclass members.
+  // The grouping's parent (musicians) is an ancestor of soloists: the
+  // answer must be restricted to the subclass members.
   ClassId soloists = *db_->schema().FindClass("soloists");
   Atom a;
   a.lhs = Term::Candidate({plays_});
@@ -108,14 +103,14 @@ TEST_F(GroupingIndexTest, SubclassCandidatesRestrictTheBlock) {
 
 TEST_F(GroupingIndexTest, UnqualifiedShapesFallBackToTheScan) {
   Evaluator eval(*db_);
-  // Negated: must not use the index (and still be correct).
+  // Negated: not probe-eligible (and still correct).
   Atom neg;
   neg.lhs = Term::Candidate({family_});
   neg.op = SetOp::kEqual;
   neg.negated = true;
   neg.rhs = Term::Constant({E(families_, "percussion")});
   EXPECT_EQ(BothWays(OneAtom(neg), instruments_).size(), 14u);
-  // No grouping on the attribute (popular): scan.
+  // No grouping on the attribute (popular).
   AttributeId popular =
       *db_->schema().FindAttribute(instruments_, "popular");
   Atom pop;
@@ -123,13 +118,13 @@ TEST_F(GroupingIndexTest, UnqualifiedShapesFallBackToTheScan) {
   pop.op = SetOp::kEqual;
   pop.rhs = Term::Constant({db_->InternBoolean(true)});
   EXPECT_EQ(BothWays(OneAtom(pop), instruments_).size(), 8u);
-  // Two-step map: scan.
+  // Two-step map.
   Atom path;
   path.lhs = Term::Candidate({plays_, family_});
   path.op = SetOp::kWeakMatch;
   path.rhs = Term::Constant({E(families_, "stringed")});
   EXPECT_EQ(BothWays(OneAtom(path), musicians_).size(), 4u);
-  // Multi-clause predicates: scan.
+  // Multi-clause predicates.
   Predicate multi;
   multi.AddAtom(pop, 0);
   multi.AddAtom(path, 0);
@@ -137,9 +132,8 @@ TEST_F(GroupingIndexTest, UnqualifiedShapesFallBackToTheScan) {
 }
 
 TEST_F(GroupingIndexTest, EqualityOnMultivaluedFallsBack) {
-  // kEqual on a multivalued attribute is exact-set equality; the index
-  // cannot answer it, so the fast path must decline (and the scan answer
-  // must hold: nobody's plays-set equals exactly {viola}).
+  // kEqual on a multivalued attribute is exact-set equality, which no
+  // block answers; nobody's plays-set equals exactly {viola}.
   Atom a;
   a.lhs = Term::Candidate({plays_});
   a.op = SetOp::kEqual;
@@ -180,7 +174,6 @@ TEST_F(GroupingIndexTest, RandomizedAgreementOnScaledData) {
     p.AddAtom(a, 0);
     Evaluator with(ws->db());
     Evaluator without(ws->db());
-    without.set_use_grouping_index(false);
     without.set_use_planner(false);
     EXPECT_EQ(with.EvaluateSubclass(p, h.instruments),
               without.EvaluateSubclass(p, h.instruments))

@@ -45,11 +45,10 @@ class PlanTest : public ::testing::Test {
     return *db_->FindEntity(cls, name);
   }
 
-  /// Planner result must equal the naive scan (grouping fast path off too).
+  /// Planner result must equal the naive scan.
   EntitySet CheckEquivalent(const Predicate& p, ClassId v) {
     Evaluator naive(*db_);
     naive.set_use_planner(false);
-    naive.set_use_grouping_index(false);
     EntitySet scan = naive.EvaluateSubclass(p, v);
     PlannedPredicate plan(*db_, p, v);
     EXPECT_EQ(plan.Evaluate(db_->Members(v)), scan);
@@ -211,7 +210,6 @@ TEST_F(PlanTest, SelfTermsEvaluateAgainstTheOwner) {
   p.AddAtom(a, 0);
   Evaluator naive(*db_);
   naive.set_use_planner(false);
-  naive.set_use_grouping_index(false);
   for (EntityId x : db_->Members(music_groups_)) {
     PlannedPredicate plan(*db_, p, musicians_);
     EntitySet got = plan.Evaluate(db_->Members(musicians_), x);
@@ -292,7 +290,6 @@ TEST(PlanPropertyTest, RandomizedPredicatesMatchNaiveScan) {
     }
     Evaluator naive(db);
     naive.set_use_planner(false);
-    naive.set_use_grouping_index(false);
     EntitySet scan = naive.EvaluateSubclass(p, v);
     PlannedPredicate plan(db, p, v);
     EXPECT_EQ(plan.Evaluate(db.Members(v)), scan)

@@ -27,6 +27,7 @@
 #include "sdm/value.h"
 #include "server/loopback.h"
 #include "server/proto.h"
+#include "server/retry.h"
 #include "server/session.h"
 
 namespace isis::query {
@@ -37,8 +38,10 @@ using datasets::ResolveScaledMusic;
 using datasets::ScaledMusicHandles;
 using server::Frame;
 using server::JoinFields;
-using server::LoopbackClient;
+using server::LoopbackTransport;
 using server::MsgType;
+using server::RetryingClient;
+using server::RetryOptions;
 using server::Server;
 using server::ServerOptions;
 
@@ -320,14 +323,19 @@ TEST(ResultCacheOracleTest, RandomizedInterleavingMatchesUncachedServer) {
   std::unique_ptr<Server> cached = std::move(cached_r).ValueOrDie();
   std::unique_ptr<Server> plain = std::move(plain_r).ValueOrDie();
 
-  std::vector<std::unique_ptr<LoopbackClient>> cached_clients;
-  std::vector<std::unique_ptr<LoopbackClient>> plain_clients;
+  std::vector<std::unique_ptr<RetryingClient>> cached_clients;
+  std::vector<std::unique_ptr<RetryingClient>> plain_clients;
   for (int s = 0; s < kSessions; ++s) {
-    cached_clients.push_back(std::make_unique<LoopbackClient>(cached.get()));
-    plain_clients.push_back(std::make_unique<LoopbackClient>(plain.get()));
-    ASSERT_TRUE(
-        cached_clients.back()->Connect("c" + std::to_string(s)).ok());
-    ASSERT_TRUE(plain_clients.back()->Connect("p" + std::to_string(s)).ok());
+    cached_clients.push_back(std::make_unique<RetryingClient>(
+        std::make_unique<LoopbackTransport>(cached.get(),
+                                            "c" + std::to_string(s)),
+        RetryOptions()));
+    plain_clients.push_back(std::make_unique<RetryingClient>(
+        std::make_unique<LoopbackTransport>(plain.get(),
+                                            "p" + std::to_string(s)),
+        RetryOptions()));
+    ASSERT_TRUE(cached_clients.back()->Connect().ok());
+    ASSERT_TRUE(plain_clients.back()->Connect().ok());
   }
 
   const std::vector<std::pair<std::string, std::string>> pool = {
@@ -427,8 +435,11 @@ TEST(ResultCacheTest, ConcurrentCachedSessionsConvergeToOracle) {
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
-      LoopbackClient client(srv.get());
-      if (!client.Connect("w" + std::to_string(t)).ok()) {
+      RetryingClient client(
+          std::make_unique<LoopbackTransport>(srv.get(),
+                                              "w" + std::to_string(t)),
+          RetryOptions());
+      if (!client.Connect().ok()) {
         ++failures;
         return;
       }
@@ -465,8 +476,10 @@ TEST(ResultCacheTest, ConcurrentCachedSessionsConvergeToOracle) {
   auto oracle_r = Server::Open(BuildScaledMusic(kScale), oracle_opts);
   ASSERT_TRUE(oracle_r.ok());
   std::unique_ptr<Server> oracle = std::move(oracle_r).ValueOrDie();
-  LoopbackClient oracle_client(oracle.get());
-  ASSERT_TRUE(oracle_client.Connect("oracle").ok());
+  RetryingClient oracle_client(
+      std::make_unique<LoopbackTransport>(oracle.get(), "oracle"),
+      RetryOptions());
+  ASSERT_TRUE(oracle_client.Connect().ok());
   for (int t = 0; t < kThreads; ++t) {
     for (int i = 0; i < slice; ++i) {
       const int m = t * slice + i;
@@ -476,8 +489,9 @@ TEST(ResultCacheTest, ConcurrentCachedSessionsConvergeToOracle) {
                       .ok());
     }
   }
-  LoopbackClient probe(srv.get());
-  ASSERT_TRUE(probe.Connect("probe").ok());
+  RetryingClient probe(std::make_unique<LoopbackTransport>(srv.get(), "probe"),
+                       RetryOptions());
+  ASSERT_TRUE(probe.Connect().ok());
   for (const auto& q : probes) {
     Result<Frame> got = probe.Call(MsgType::kQuery, JoinFields({q[0], q[1]}));
     Result<Frame> want =

@@ -211,8 +211,9 @@ std::string OraclePayload(const query::Workspace& ws, const std::string& cls,
 
 TEST(ServerTest, HelloQueryMatchesOracle) {
   std::unique_ptr<Server> srv = OpenScaled(4);
-  LoopbackClient client(srv.get());
-  ASSERT_TRUE(client.Connect("t").ok());
+  RetryingClient client(std::make_unique<LoopbackTransport>(srv.get(), "t"),
+                        RetryOptions());
+  ASSERT_TRUE(client.Connect().ok());
   EXPECT_GE(client.session_id(), 1);
 
   const std::string predicate = "e.plays ]= {inst0}";
@@ -234,8 +235,9 @@ TEST(ServerTest, HelloQueryMatchesOracle) {
 
 TEST(ServerTest, QueryErrorsComeBackTyped) {
   std::unique_ptr<Server> srv = OpenScaled(2);
-  LoopbackClient client(srv.get());
-  ASSERT_TRUE(client.Connect("t").ok());
+  RetryingClient client(std::make_unique<LoopbackTransport>(srv.get(), "t"),
+                        RetryOptions());
+  ASSERT_TRUE(client.Connect().ok());
 
   Result<Frame> resp = client.Call(
       MsgType::kQuery, JoinFields({"no_such_class", "e.plays ]= {inst0}"}));
@@ -243,9 +245,9 @@ TEST(ServerTest, QueryErrorsComeBackTyped) {
   EXPECT_EQ(resp->type, MsgType::kError);
   EXPECT_EQ(resp->payload.rfind("NotFound|", 0), 0u) << resp->payload;
 
-  LoopbackClient stranger(srv.get());
-  // No Connect: session id -1 is unknown.
-  Result<Frame> unknown = stranger.Call(MsgType::kRender, "");
+  LoopbackTransport stranger(srv.get(), "stranger");
+  // No hello: session id -1 is unknown.
+  Result<Frame> unknown = stranger.CallFrame(Frame{MsgType::kRender, 1, ""});
   ASSERT_TRUE(unknown.ok());
   EXPECT_EQ(unknown->type, MsgType::kError);
   srv->Shutdown();
@@ -259,10 +261,12 @@ TEST(ServerTest, SessionsKeepIndependentUiState) {
   ASSERT_TRUE(opened.ok());
   std::unique_ptr<Server> srv = std::move(opened).ValueOrDie();
 
-  LoopbackClient a(srv.get());
-  LoopbackClient b(srv.get());
-  ASSERT_TRUE(a.Connect("a").ok());
-  ASSERT_TRUE(b.Connect("b").ok());
+  RetryingClient a(std::make_unique<LoopbackTransport>(srv.get(), "a"),
+                   RetryOptions());
+  RetryingClient b(std::make_unique<LoopbackTransport>(srv.get(), "b"),
+                   RetryOptions());
+  ASSERT_TRUE(a.Connect().ok());
+  ASSERT_TRUE(b.Connect().ok());
   ASSERT_NE(a.session_id(), b.session_id());
   EXPECT_EQ(srv->session_count(), 2);
 
@@ -272,14 +276,16 @@ TEST(ServerTest, SessionsKeepIndependentUiState) {
   ASSERT_TRUE(ev.ok());
   ASSERT_EQ(ev->type, MsgType::kScreen) << ev->payload;
 
-  Result<std::string> screen_a = a.Render();
-  Result<std::string> screen_b = b.Render();
+  Result<Frame> screen_a = a.Call(MsgType::kRender, "");
+  Result<Frame> screen_b = b.Call(MsgType::kRender, "");
   ASSERT_TRUE(screen_a.ok());
   ASSERT_TRUE(screen_b.ok());
-  EXPECT_NE(*screen_a, *screen_b);
+  ASSERT_EQ(screen_a->type, MsgType::kScreen);
+  ASSERT_EQ(screen_b->type, MsgType::kScreen);
+  EXPECT_NE(screen_a->payload, screen_b->payload);
   // Both sessions see the same shared schema, though: the class A picked
   // exists on B's forest too.
-  EXPECT_NE(screen_b->find("musicians"), std::string::npos);
+  EXPECT_NE(screen_b->payload.find("musicians"), std::string::npos);
 
   Result<Frame> bye = a.Call(MsgType::kBye, "");
   ASSERT_TRUE(bye.ok());
@@ -306,8 +312,10 @@ TEST(ServerTest, ReadersSeeMonotoneCountsUnderOneWriter) {
   readers.reserve(kReaders);
   for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&] {
-      LoopbackClient client(srv.get());
-      ASSERT_TRUE(client.Connect("reader").ok());
+      RetryingClient client(
+          std::make_unique<LoopbackTransport>(srv.get(), "reader"),
+          RetryOptions());
+      ASSERT_TRUE(client.Connect().ok());
       long long last = -1;
       while (!done.load()) {
         Result<Frame> resp = client.Call(
@@ -321,8 +329,10 @@ TEST(ServerTest, ReadersSeeMonotoneCountsUnderOneWriter) {
     });
   }
 
-  LoopbackClient writer(srv.get());
-  ASSERT_TRUE(writer.Connect("writer").ok());
+  RetryingClient writer(
+      std::make_unique<LoopbackTransport>(srv.get(), "writer"),
+      RetryOptions());
+  ASSERT_TRUE(writer.Connect().ok());
   for (int i = 0; i < kWrites; ++i) {
     ASSERT_TRUE(writer
                     .Assign("musicians", "musician" + std::to_string(i),
@@ -359,8 +369,9 @@ TEST(ServerTest, ReadersSeeMonotoneCountsUnderOneWriter) {
 /// and still answer correctly.
 TEST(ServerTest, PromotesReadsThatInternUnseenConstants) {
   std::unique_ptr<Server> srv = OpenScaled(4);
-  LoopbackClient client(srv.get());
-  ASSERT_TRUE(client.Connect("t").ok());
+  RetryingClient client(std::make_unique<LoopbackTransport>(srv.get(), "t"),
+                        RetryOptions());
+  ASSERT_TRUE(client.Connect().ok());
 
   // No group has size 123456; the integer itself has never been seen, so a
   // frozen parse cannot intern it.
@@ -374,10 +385,11 @@ TEST(ServerTest, PromotesReadsThatInternUnseenConstants) {
 }
 
 TEST(ServerTest, ShedsWhenASessionQueueOverflows) {
-  // One worker and a tiny queue: a flood of async requests must overflow.
+  // One worker and a tiny queue: a flood of requests sent without waiting
+  // for their answers must overflow.
   std::unique_ptr<Server> srv = OpenScaled(1, /*queue_capacity=*/2);
-  LoopbackClient client(srv.get());
-  ASSERT_TRUE(client.Connect("flood").ok());
+  LoopbackTransport client(srv.get(), "flood");
+  ASSERT_TRUE(client.Reconnect(-1).ok());
 
   constexpr int kBurst = 40;
   isis::Mutex mu;
@@ -386,22 +398,20 @@ TEST(ServerTest, ShedsWhenASessionQueueOverflows) {
   int retries = 0;
   int answered = 0;
   for (int i = 0; i < kBurst; ++i) {
-    ASSERT_TRUE(client
-                    .CallAsync(MsgType::kQuery,
-                               JoinFields({"musicians",
-                                           "e.plays ]= {inst0}"}),
-                               [&](const Frame& resp) {
-                                 isis::MutexLock lock(mu);
-                                 ++responded;
-                                 if (resp.type == MsgType::kRetry) {
-                                   ++retries;
-                                 } else if (resp.type ==
-                                            MsgType::kQueryResult) {
-                                   ++answered;
-                                 }
-                                 cv.NotifyOne();
-                               })
-                    .ok());
+    Frame req;
+    req.type = MsgType::kQuery;
+    req.seq = static_cast<std::uint32_t>(i + 1);
+    req.payload = JoinFields({"musicians", "e.plays ]= {inst0}"});
+    srv->HandleFrame(client.session_id(), req, [&](const Frame& resp) {
+      isis::MutexLock lock(mu);
+      ++responded;
+      if (resp.type == MsgType::kRetry) {
+        ++retries;
+      } else if (resp.type == MsgType::kQueryResult) {
+        ++answered;
+      }
+      cv.NotifyOne();
+    });
   }
   isis::MutexLock lock(mu);
   cv.Wait(lock, [&] { return responded == kBurst; });
@@ -416,8 +426,9 @@ TEST(ServerTest, ShedsWhenASessionQueueOverflows) {
 
 TEST(ServerTest, StatsRequestReportsCounters) {
   std::unique_ptr<Server> srv = OpenScaled(2);
-  LoopbackClient client(srv.get());
-  ASSERT_TRUE(client.Connect("t").ok());
+  RetryingClient client(std::make_unique<LoopbackTransport>(srv.get(), "t"),
+                        RetryOptions());
+  ASSERT_TRUE(client.Connect().ok());
   ASSERT_TRUE(
       client.Query("musicians", "e.plays ]= {inst0}").ok());
 
@@ -437,24 +448,6 @@ TEST(ServerTest, StatsRequestReportsCounters) {
 
 // --- Fault tolerance: deadlines, heartbeats, resume, dedup. ---
 
-/// Blocking HandleFrame round trip for hand-built frames (the loopback
-/// client cannot set header extensions).
-Frame CallRaw(Server* srv, std::int64_t sid, const Frame& req) {
-  isis::Mutex mu;
-  isis::CondVar cv;
-  bool ready = false;
-  Frame result;
-  srv->HandleFrame(sid, req, [&](const Frame& resp) {
-    isis::MutexLock lock(mu);
-    result = resp;
-    ready = true;
-    cv.NotifyOne();
-  });
-  isis::MutexLock lock(mu);
-  cv.Wait(lock, [&] { return ready; });
-  return result;
-}
-
 TEST(ServerTest, PingPongEchoesWithoutASession) {
   std::unique_ptr<Server> srv = OpenScaled(2);
   Frame ping;
@@ -462,10 +455,12 @@ TEST(ServerTest, PingPongEchoesWithoutASession) {
   ping.seq = 5;
   ping.payload = "are-you-there";
   // No hello first: liveness probes need no session.
-  Frame pong = CallRaw(srv.get(), -1, ping);
-  EXPECT_EQ(pong.type, MsgType::kPong);
-  EXPECT_EQ(pong.seq, 5u);
-  EXPECT_EQ(pong.payload, "are-you-there");
+  LoopbackTransport probe(srv.get(), "probe");
+  Result<Frame> pong = probe.CallFrame(ping);
+  ASSERT_TRUE(pong.ok());
+  EXPECT_EQ(pong->type, MsgType::kPong);
+  EXPECT_EQ(pong->seq, 5u);
+  EXPECT_EQ(pong->payload, "are-you-there");
   EXPECT_EQ(srv->stats().Snapshot().heartbeats, 1);
   srv->Shutdown();
 }
@@ -484,8 +479,8 @@ TEST(ServerTest, ExpiredRequestsAreDroppedBeforeDispatch) {
       Server::Open(datasets::BuildScaledMusic(2), options);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   std::unique_ptr<Server> srv = std::move(opened).ValueOrDie();
-  LoopbackClient client(srv.get());
-  ASSERT_TRUE(client.Connect("deadline").ok());
+  LoopbackTransport client(srv.get(), "deadline");
+  ASSERT_TRUE(client.Reconnect(-1).ok());
 
   constexpr int kBurst = 300;
   isis::Mutex mu;
@@ -523,17 +518,21 @@ TEST(ServerTest, ExpiredRequestsAreDroppedBeforeDispatch) {
 
 TEST(ServerTest, ResentWritesDedupOnWriteSeq) {
   std::unique_ptr<Server> srv = OpenScaled(2);
-  LoopbackClient client(srv.get());
-  ASSERT_TRUE(client.Connect("dedup").ok());
-  const std::int64_t sid = client.session_id();
+  // Hand-built frames go straight through the transport; the queries on
+  // the same session through the client that owns it.
+  auto transport = std::make_unique<LoopbackTransport>(srv.get(), "dedup");
+  LoopbackTransport* wire = transport.get();
+  RetryingClient client(std::move(transport), RetryOptions());
+  ASSERT_TRUE(client.Connect().ok());
 
   Frame first;
   first.type = MsgType::kAssign;
   first.seq = 100;
   first.write_seq = 7;
   first.payload = JoinFields({"musicians", "musician0", "plays", "inst1"});
-  Frame resp = CallRaw(srv.get(), sid, first);
-  ASSERT_EQ(resp.type, MsgType::kOk) << resp.payload;
+  Result<Frame> resp = wire->CallFrame(first);
+  ASSERT_TRUE(resp.ok());
+  ASSERT_EQ(resp->type, MsgType::kOk) << resp->payload;
 
   // A *different* mutation arriving under the same write_seq is by
   // definition a resend of the first (the client reuses the seq only on
@@ -543,9 +542,10 @@ TEST(ServerTest, ResentWritesDedupOnWriteSeq) {
   resend.seq = 101;
   resend.write_seq = 7;
   resend.payload = JoinFields({"musicians", "musician1", "plays", "inst1"});
-  Frame cached = CallRaw(srv.get(), sid, resend);
-  EXPECT_EQ(cached.type, MsgType::kOk);
-  EXPECT_EQ(cached.seq, 101u) << "cached response must carry the new seq";
+  Result<Frame> cached = wire->CallFrame(resend);
+  ASSERT_TRUE(cached.ok());
+  EXPECT_EQ(cached->type, MsgType::kOk);
+  EXPECT_EQ(cached->seq, 101u) << "cached response must carry the new seq";
   EXPECT_EQ(srv->stats().Snapshot().dedup_hits, 1);
 
   Result<std::vector<std::string>> players =
@@ -563,7 +563,9 @@ TEST(ServerTest, ResentWritesDedupOnWriteSeq) {
   next.seq = 102;
   next.write_seq = 8;
   next.payload = JoinFields({"musicians", "musician1", "plays", "inst1"});
-  EXPECT_EQ(CallRaw(srv.get(), sid, next).type, MsgType::kOk);
+  Result<Frame> applied = wire->CallFrame(next);
+  ASSERT_TRUE(applied.ok());
+  EXPECT_EQ(applied->type, MsgType::kOk);
   players = client.Query("musicians", "e.plays ]= {inst1}");
   ASSERT_TRUE(players.ok());
   EXPECT_NE(std::find(players->begin(), players->end(), "musician1"),
@@ -573,29 +575,19 @@ TEST(ServerTest, ResentWritesDedupOnWriteSeq) {
 
 TEST(ServerTest, HelloWithResumeReattachesTheSession) {
   std::unique_ptr<Server> srv = OpenScaled(2);
-  LoopbackClient client(srv.get());
-  ASSERT_TRUE(client.Connect("resume-me").ok());
+  LoopbackTransport client(srv.get(), "resume-me");
+  ASSERT_TRUE(client.Reconnect(-1).ok());
   const std::int64_t sid = client.session_id();
   ASSERT_EQ(srv->session_count(), 1);
 
-  Frame hello;
-  hello.type = MsgType::kHello;
-  hello.seq = 50;
-  hello.payload = JoinFields({"resume-me", std::to_string(sid)});
-  Frame resp = CallRaw(srv.get(), -1, hello);
-  ASSERT_EQ(resp.type, MsgType::kOk) << resp.payload;
-  EXPECT_EQ(SplitFields(resp.payload)[0], std::to_string(sid));
+  ASSERT_TRUE(client.Reconnect(sid).ok());
+  EXPECT_EQ(client.session_id(), sid);
   EXPECT_EQ(srv->session_count(), 1) << "resume must not mint a session";
   EXPECT_EQ(srv->stats().Snapshot().resumes, 1);
 
   // Resuming a session the server never had falls back to a fresh one.
-  Frame stale;
-  stale.type = MsgType::kHello;
-  stale.seq = 51;
-  stale.payload = JoinFields({"resume-me", "999999"});
-  Frame fresh = CallRaw(srv.get(), -1, stale);
-  ASSERT_EQ(fresh.type, MsgType::kOk);
-  EXPECT_NE(SplitFields(fresh.payload)[0], "999999");
+  ASSERT_TRUE(client.Reconnect(999999).ok());
+  EXPECT_NE(client.session_id(), 999999);
   EXPECT_EQ(srv->session_count(), 2);
   srv->Shutdown();
 }
@@ -604,10 +596,14 @@ TEST(ServerTest, HelloWithResumeReattachesTheSession) {
 
 TEST(ServerTest, SubscribersSeeWritesFromOtherSessions) {
   std::unique_ptr<Server> srv = OpenScaled(4);
-  LoopbackClient watcher(srv.get());
-  LoopbackClient writer(srv.get());
-  ASSERT_TRUE(watcher.Connect("watcher").ok());
-  ASSERT_TRUE(writer.Connect("writer").ok());
+  RetryingClient watcher(
+      std::make_unique<LoopbackTransport>(srv.get(), "watcher"),
+      RetryOptions());
+  RetryingClient writer(
+      std::make_unique<LoopbackTransport>(srv.get(), "writer"),
+      RetryOptions());
+  ASSERT_TRUE(watcher.Connect().ok());
+  ASSERT_TRUE(writer.Connect().ok());
 
   Result<Frame> sub =
       watcher.Call(MsgType::kSubscribe, JoinFields({"musicians"}));
@@ -648,16 +644,18 @@ TEST(ServerTest, CleanShutdownSurvivesRestart) {
   WipeDurable("SrvClean");
   {
     std::unique_ptr<Server> srv = OpenScaled(2, 64, DurableDir(), "SrvClean");
-    LoopbackClient client(srv.get());
-    ASSERT_TRUE(client.Connect("t").ok());
+    RetryingClient client(std::make_unique<LoopbackTransport>(srv.get(), "t"),
+                          RetryOptions());
+    ASSERT_TRUE(client.Connect().ok());
     ASSERT_TRUE(
         client.Assign("musicians", "musician3", "plays", "inst0").ok());
     srv->Shutdown();
   }
   // Restart with a *fresh* workspace: the durable state must win.
   std::unique_ptr<Server> srv = OpenScaled(2, 64, DurableDir(), "SrvClean");
-  LoopbackClient client(srv.get());
-  ASSERT_TRUE(client.Connect("t").ok());
+  RetryingClient client(std::make_unique<LoopbackTransport>(srv.get(), "t"),
+                        RetryOptions());
+  ASSERT_TRUE(client.Connect().ok());
   Result<std::vector<std::string>> players =
       client.Query("musicians", "e.plays ]= {inst0}");
   ASSERT_TRUE(players.ok());
@@ -671,8 +669,9 @@ TEST(ServerTest, CrashRecoveryReplaysTheWal) {
   WipeDurable("SrvCrash");
   {
     std::unique_ptr<Server> srv = OpenScaled(2, 64, DurableDir(), "SrvCrash");
-    LoopbackClient client(srv.get());
-    ASSERT_TRUE(client.Connect("t").ok());
+    RetryingClient client(std::make_unique<LoopbackTransport>(srv.get(), "t"),
+                          RetryOptions());
+    ASSERT_TRUE(client.Connect().ok());
     ASSERT_TRUE(
         client.Assign("musicians", "musician5", "plays", "inst0").ok());
     // UI events are durable too.
@@ -682,8 +681,9 @@ TEST(ServerTest, CrashRecoveryReplaysTheWal) {
     // No Shutdown(): the destructor is the crash.
   }
   std::unique_ptr<Server> srv = OpenScaled(2, 64, DurableDir(), "SrvCrash");
-  LoopbackClient client(srv.get());
-  ASSERT_TRUE(client.Connect("t").ok());
+  RetryingClient client(std::make_unique<LoopbackTransport>(srv.get(), "t"),
+                        RetryOptions());
+  ASSERT_TRUE(client.Connect().ok());
   Result<std::vector<std::string>> players =
       client.Query("musicians", "e.plays ]= {inst0}");
   ASSERT_TRUE(players.ok());
@@ -691,6 +691,68 @@ TEST(ServerTest, CrashRecoveryReplaysTheWal) {
             players->end());
   srv->Shutdown();
   WipeDurable("SrvCrash");
+}
+
+/// A WAL sync that fails must not be acked: the write that hit it answers
+/// kError, a resend of that write cannot fetch a stale OK from the dedup
+/// window, and the committer's sticky failure refuses every later write
+/// before it applies -- while reads keep answering.
+TEST(ServerTest, FailedWalCommitIsAnErrorAndRefusesLaterWrites) {
+  const std::string name = "SrvWalFail";
+  ServerOptions options;
+  options.threads = 2;
+  options.durable_dir = DurableDir();
+  auto open = [&](store::FileEnv* env) {
+    WipeDurable(name);
+    options.env = env;
+    std::unique_ptr<query::Workspace> ws = datasets::BuildScaledMusic(2);
+    ws->set_name(name);
+    return Server::Open(std::move(ws), options);
+  };
+  // A fault-free open counts the syncs Open itself issues, so the faulty
+  // env below fails the first sync after them: the first WAL commit.
+  store::FaultInjectingEnv planning(store::FaultPlan{});
+  ASSERT_TRUE(open(&planning).ok());
+  store::FaultInjectingEnv env(
+      store::FaultPlan{.fail_sync = planning.syncs()});
+  Result<std::unique_ptr<Server>> opened = open(&env);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<Server> srv = std::move(opened).ValueOrDie();
+  LoopbackTransport client(srv.get(), "t");
+  ASSERT_TRUE(client.Reconnect(-1).ok());
+
+  auto assign = [](std::uint32_t seq, std::uint64_t write_seq,
+                   const char* inst) {
+    Frame f;
+    f.type = MsgType::kAssign;
+    f.seq = seq;
+    f.write_seq = write_seq;
+    f.payload = JoinFields({"musicians", "musician3", "plays", inst});
+    return f;
+  };
+  const Frame query{MsgType::kQuery, 9,
+                    JoinFields({"musicians", "e.plays ]= {inst0}"})};
+
+  Result<Frame> failed = client.CallFrame(assign(1, 1, "inst0"));
+  ASSERT_TRUE(failed.ok());
+  EXPECT_EQ(failed->type, MsgType::kError) << failed->payload;
+  Result<Frame> resent = client.CallFrame(assign(2, 1, "inst0"));
+  ASSERT_TRUE(resent.ok());
+  EXPECT_EQ(resent->type, MsgType::kError)
+      << "a resend got the stale OK: " << resent->payload;
+
+  Result<Frame> before = client.CallFrame(query);
+  ASSERT_TRUE(before.ok());
+  ASSERT_EQ(before->type, MsgType::kQueryResult) << before->payload;
+  Result<Frame> refused = client.CallFrame(assign(3, 2, "inst1"));
+  ASSERT_TRUE(refused.ok());
+  EXPECT_EQ(refused->type, MsgType::kError) << refused->payload;
+  Result<Frame> after = client.CallFrame(query);
+  ASSERT_TRUE(after.ok());
+  ASSERT_EQ(after->type, MsgType::kQueryResult) << after->payload;
+  EXPECT_EQ(after->payload, before->payload) << "the refused write applied";
+  srv->Shutdown();
+  WipeDurable(name);
 }
 
 // --- TCP transport. ---
@@ -703,8 +765,10 @@ TEST(ServerTest, TcpRoundTrip) {
     GTEST_SKIP() << "cannot bind a loopback socket here: " << st.ToString();
   }
   {
-    TcpClient client;
-    ASSERT_TRUE(client.Connect("127.0.0.1", tcp.port(), "tcp-test").ok());
+    RetryingClient client(
+        std::make_unique<TcpClient>("127.0.0.1", tcp.port(), "tcp-test"),
+        RetryOptions());
+    ASSERT_TRUE(client.Connect().ok());
     EXPECT_GE(client.session_id(), 1);
     Result<Frame> resp = client.Call(
         MsgType::kQuery, JoinFields({"musicians", "e.plays ]= {inst0}"}));
@@ -721,6 +785,61 @@ TEST(ServerTest, TcpRoundTrip) {
   srv->Shutdown();
 }
 
+TEST(ServerTest, TcpClientDropsTheConnectionOnAFrameItDidNotAsk) {
+  // A bare listener stands in for a server that answers out of step.
+  int listener = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  socklen_t len = sizeof(addr);
+  if (bind(listener, reinterpret_cast<sockaddr*>(&addr), len) != 0 ||
+      listen(listener, 1) != 0) {
+    close(listener);
+    GTEST_SKIP() << "cannot bind a loopback socket here";
+  }
+  getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len);
+  std::thread peer([listener] {
+    int fd = accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    FrameReader reader;
+    // Reads one request and answers it with its seq plus `skew`.
+    auto answer = [&](std::uint32_t skew) {
+      Frame req;
+      char buf[256];
+      while (reader.Next(&req) != DecodeResult::kOk) {
+        ssize_t n = read(fd, buf, sizeof(buf));
+        if (n <= 0) return;
+        reader.Feed(buf, static_cast<std::size_t>(n));
+      }
+      const std::string wire =
+          EncodeFrame(Frame{MsgType::kOk, req.seq + skew, "1|db"});
+      [[maybe_unused]] ssize_t n = write(fd, wire.data(), wire.size());
+    };
+    answer(0);  // The hello, in step.
+    answer(1);  // The next request, out of step.
+    char buf[64];
+    while (read(fd, buf, sizeof(buf)) > 0) {
+    }
+    close(fd);
+  });
+
+  {
+    TcpClient client("127.0.0.1", ntohs(addr.sin_port), "t");
+    Status hello = client.Reconnect(-1);
+    EXPECT_TRUE(hello.ok()) << hello.ToString();
+    Frame ping{MsgType::kPing, 7, ""};
+    ping.deadline_ms = 2000;
+    Result<Frame> resp = client.CallFrame(ping);
+    EXPECT_FALSE(resp.ok());
+    EXPECT_TRUE(resp.status().IsParseError()) << resp.status().ToString();
+    EXPECT_FALSE(client.CallFrame(ping).ok()) << "the connection stayed open";
+  }  // The client hangs up, which ends the peer's drain.
+  shutdown(listener, SHUT_RDWR);  // Unblocks an accept no dial reached.
+  peer.join();
+  close(listener);
+}
+
 TEST(ServerTest, IdleConnectionsAreReapedAndPingKeepsAlive) {
   std::unique_ptr<Server> srv = OpenScaled(2);
   // Wide margins: the chatty client pings every ~75ms against a 500ms
@@ -735,22 +854,23 @@ TEST(ServerTest, IdleConnectionsAreReapedAndPingKeepsAlive) {
   }
 
   // An idle connection dies; the one that pings survives the same span.
-  TcpClient idle;
-  TcpClient chatty;
-  ASSERT_TRUE(idle.Connect("127.0.0.1", tcp.port(), "idle").ok());
-  ASSERT_TRUE(chatty.Connect("127.0.0.1", tcp.port(), "chatty").ok());
-  for (int i = 0; i < 12; ++i) {
+  // Bare transports: a RetryingClient would reconnect and hide the reap.
+  TcpClient idle("127.0.0.1", tcp.port(), "idle");
+  TcpClient chatty("127.0.0.1", tcp.port(), "chatty");
+  ASSERT_TRUE(idle.Reconnect(-1).ok());
+  ASSERT_TRUE(chatty.Reconnect(-1).ok());
+  for (std::uint32_t i = 0; i < 12; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(75));
-    Result<Frame> pong = chatty.Call(MsgType::kPing, "kk");
+    Result<Frame> pong = chatty.CallFrame(Frame{MsgType::kPing, 10 + i, "kk"});
     ASSERT_TRUE(pong.ok()) << pong.status().ToString();
     EXPECT_EQ(pong->type, MsgType::kPong);
   }
   // 900ms of silence total: well past the 500ms timeout.
-  Result<Frame> dead = idle.Call(
-      MsgType::kQuery, JoinFields({"musicians", "e.plays ]= {inst0}"}));
+  const Frame query{MsgType::kQuery, 100,
+                    JoinFields({"musicians", "e.plays ]= {inst0}"})};
+  Result<Frame> dead = idle.CallFrame(query);
   EXPECT_FALSE(dead.ok()) << "the reaped connection still answered";
-  Result<Frame> alive = chatty.Call(
-      MsgType::kQuery, JoinFields({"musicians", "e.plays ]= {inst0}"}));
+  Result<Frame> alive = chatty.CallFrame(query);
   EXPECT_TRUE(alive.ok()) << alive.status().ToString();
   EXPECT_GE(srv->stats().Snapshot().idle_reaps, 1);
   tcp.Stop();
