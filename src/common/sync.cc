@@ -11,7 +11,7 @@ void RwMutex::LockShared() {
   MutexLock lock(mu_);
   // Writer preference: a reader arriving while a writer waits queues behind
   // it, so mutations cannot be starved by a saturating read load.
-  cv_.Wait(lock, [this] {
+  readers_cv_.Wait(lock, [this] {
     mu_.AssertHeld();
     return !writer_active_ && waiting_writers_ == 0;
   });
@@ -20,13 +20,14 @@ void RwMutex::LockShared() {
 
 void RwMutex::UnlockShared() {
   MutexLock lock(mu_);
-  if (--active_readers_ == 0) cv_.NotifyAll();
+  // Only a writer can be waiting on readers to leave.
+  if (--active_readers_ == 0 && waiting_writers_ > 0) writers_cv_.NotifyOne();
 }
 
 void RwMutex::LockExclusive() {
   MutexLock lock(mu_);
   ++waiting_writers_;
-  cv_.Wait(lock, [this] {
+  writers_cv_.Wait(lock, [this] {
     mu_.AssertHeld();
     return !writer_active_ && active_readers_ == 0;
   });
@@ -37,7 +38,13 @@ void RwMutex::LockExclusive() {
 void RwMutex::UnlockExclusive() {
   MutexLock lock(mu_);
   writer_active_ = false;
-  cv_.NotifyAll();
+  // Writer preference: readers stay blocked while any writer waits, so
+  // wake them only when none does.
+  if (waiting_writers_ > 0) {
+    writers_cv_.NotifyOne();
+  } else {
+    readers_cv_.NotifyAll();
+  }
 }
 
 }  // namespace isis

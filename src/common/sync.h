@@ -225,7 +225,11 @@ class CondVar {
 /// policy is ours (glibc's pthread rwlock default prefers readers, which
 /// lets a saturating read load starve writers indefinitely) and so
 /// ThreadSanitizer sees plain mutex/condvar operations it fully
-/// understands. New readers block while a writer is waiting.
+/// understands. New readers block while a writer is waiting. Readers and
+/// writers wait on separate condvars, so a release wakes one waiting
+/// writer or, when no writer waits, every waiting reader -- never every
+/// waiter, which under contention would wake threads only to have most of
+/// them sleep again.
 ///
 /// Prefer the scoped ReaderLock/WriterLock over the manual methods.
 class ISIS_CAPABILITY("rw_mutex") RwMutex {
@@ -247,7 +251,8 @@ class ISIS_CAPABILITY("rw_mutex") RwMutex {
 
  private:
   Mutex mu_;
-  CondVar cv_;
+  CondVar readers_cv_;
+  CondVar writers_cv_;
   int active_readers_ ISIS_GUARDED_BY(mu_) = 0;
   int waiting_writers_ ISIS_GUARDED_BY(mu_) = 0;
   bool writer_active_ ISIS_GUARDED_BY(mu_) = false;

@@ -6,14 +6,6 @@
 
 namespace isis::server {
 
-namespace {
-
-/// Most tasks one database lock hold runs under rules 5 and 6: the task
-/// that took the lock plus kMaxBatch - 1 same-mode head-of-lane tasks.
-constexpr int kMaxBatch = 8;
-
-}  // namespace
-
 Executor::Executor(const Options& options, ServerStats* stats)
     : options_(options), stats_(stats) {
   int n = options_.threads > 0 ? options_.threads : 1;
@@ -74,39 +66,29 @@ SubmitResult Executor::Submit(std::int64_t lane, TaskMode mode, TaskFn task,
 void Executor::RecordLockWait(bool exclusive,
                               std::chrono::steady_clock::time_point t0) {
   if (stats_ == nullptr) return;
-  auto waited = std::chrono::duration_cast<std::chrono::microseconds>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-  stats_->RecordDispatch(exclusive, waited);
+  stats_->RecordDispatch(exclusive, std::chrono::steady_clock::now() - t0);
 }
 
-bool Executor::PopHeadTask(TaskMode mode, Task* task,
-                           std::shared_ptr<Lane>* lane,
-                           std::int64_t* lane_id) {
-  MutexLock lock(mu_);
-  std::size_t probes = ready_.size();
-  for (std::size_t i = 0; i < probes; ++i) {
-    std::int64_t cand = ready_.front();
-    ready_.pop_front();
-    auto it = lanes_.find(cand);
-    if (it == lanes_.end()) continue;  // Stale entry; drop it.
-    if (it->second->running || it->second->queue.empty()) continue;
-    if (it->second->queue.front().mode != mode) {
-      // Not batchable under the current hold; leave it for a fresh
-      // dispatch. The rotation to the back is bounded round-robin, not
-      // starvation: a worker picks it up as soon as one is free.
-      ready_.push_back(cand);
-      continue;
-    }
-    *task = std::move(it->second->queue.front());
-    it->second->queue.pop_front();
-    it->second->running = true;
+bool Executor::RunInline(std::int64_t lane_id, TaskMode mode,
+                         const TaskFn& task) {
+  std::shared_ptr<Lane> lane;
+  {
+    MutexLock lock(mu_);
+    if (closed_) return false;
+    auto it = lanes_.find(lane_id);
+    if (it == lanes_.end()) return false;
+    Lane& l = *it->second;
+    if (l.removed || l.running || !l.queue.empty()) return false;
+    // From here the lane looks exactly as if a worker had claimed it:
+    // submissions queue behind this task and Shutdown() waits for it.
+    l.running = true;
     ++in_flight_;
-    *lane = it->second;
-    *lane_id = cand;
-    return true;
+    lane = it->second;
   }
-  return false;
+  if (stats_) stats_->RecordInlineRun();
+  RunTask(mode, task);
+  FinishLane(lane, lane_id);
+  return true;
 }
 
 void Executor::FinishLane(const std::shared_ptr<Lane>& lane,
@@ -123,66 +105,30 @@ void Executor::FinishLane(const std::shared_ptr<Lane>& lane,
   if (closed_ && in_flight_ == 0 && ready_.empty()) work_cv_.NotifyAll();
 }
 
-void Executor::DrainBatchLocked(TaskMode mode,
-                                std::vector<PostLockFn>* post) {
-  // Rules 5 and 6: the hold is already paid for -- drain more same-mode
-  // work under it before releasing. Continuations must NOT run here (the
-  // lock is still held); they accumulate in `post` for the caller.
-  for (int extra = 1; extra < kMaxBatch; ++extra) {
-    Task next;
-    std::shared_ptr<Lane> lane;
-    std::int64_t lane_id = 0;
-    if (!PopHeadTask(mode, &next, &lane, &lane_id)) break;
-    if (stats_) stats_->AdjustQueueDepth(-1);
-    if (next.has_deadline && next.on_expired != nullptr &&
-        std::chrono::steady_clock::now() >= next.deadline) {
-      // Rule 4 still applies mid-batch; on_expired acquires nothing.
-      if (stats_) stats_->RecordDeadlineDrop();
-      next.on_expired();
-    } else {
-      // A batched task waited zero time for the lock by construction.
-      if (stats_) stats_->RecordDispatch(mode == TaskMode::kExclusive, 0);
-      PostLockFn after = next.fn();
-      if (after) post->push_back(std::move(after));
-    }
-    FinishLane(lane, lane_id);
-  }
-}
-
-void Executor::RunTask(Task& task) {
+void Executor::RunTask(TaskMode mode, const TaskFn& fn) {
   auto t0 = std::chrono::steady_clock::now();
-  // Deferred work from the whole batch, run strictly after the lock hold
-  // below closes. Enqueue order is preserved: for durable mutations that
-  // means commit tickets are awaited in WAL order, though any order would
-  // be correct -- each ticket waits only on its own record.
-  std::vector<PostLockFn> post;
-  switch (task.mode) {
+  PostLockFn after;
+  switch (mode) {
     case TaskMode::kShared: {
       ReaderLock db(db_lock_);
       RecordLockWait(/*exclusive=*/false, t0);
-      PostLockFn after = task.fn();
-      if (after) post.push_back(std::move(after));
-      DrainBatchLocked(TaskMode::kShared, &post);
+      after = fn();
       break;
     }
     case TaskMode::kExclusive: {
       WriterLock db(db_lock_);
       RecordLockWait(/*exclusive=*/true, t0);
-      PostLockFn after = task.fn();
-      if (after) post.push_back(std::move(after));
-      DrainBatchLocked(TaskMode::kExclusive, &post);
+      after = fn();
       break;
     }
-    case TaskMode::kNone: {
-      PostLockFn after = task.fn();
-      if (after) post.push_back(std::move(after));
+    case TaskMode::kNone:
+      after = fn();
       break;
-    }
   }
-  // The lock is released; now the batch's deferred work (group-commit
-  // waits, replies that imply durability) may block without serializing
-  // other workers' database access.
-  for (PostLockFn& fn : post) fn();
+  // The lock is released; now the deferred work (a group-commit wait, the
+  // reply that implies durability) may block without serializing other
+  // lanes' database access.
+  if (after) after();
 }
 
 void Executor::WorkerLoop() {
@@ -216,7 +162,7 @@ void Executor::WorkerLoop() {
       if (stats_) stats_->RecordDeadlineDrop();
       task.on_expired();
     } else {
-      RunTask(task);
+      RunTask(task.mode, task.fn);
     }
 
     FinishLane(lane, lane_id);

@@ -4,11 +4,11 @@
 /// The executor is the server's concurrency layer. Work arrives as tasks on
 /// *lanes* (one lane per client session); each task declares whether it
 /// needs the database shared (reads: query, explain, render, stats) or
-/// exclusive (mutations: events, assigns). Three rules govern dispatch:
+/// exclusive (mutations: events, assigns). These rules govern dispatch:
 ///
 ///   1. Lane order: tasks on one lane run in submission order, at most one
 ///      in flight -- a session is serial, the server is parallel.
-///   2. Lock mode: before running a task the worker acquires the shared
+///   2. Lock mode: before running a task the executor acquires the shared
 ///      RwMutex (common/sync.h) in the declared mode, so any number of
 ///      reads overlap but a mutation runs alone. The RwMutex is
 ///      writer-preferring: arriving readers queue behind a waiting writer,
@@ -22,36 +22,32 @@
 ///      `on_expired` callback runs instead of the task, without acquiring
 ///      the database lock. Serving a request nobody is waiting for anymore
 ///      would only lengthen the queue behind it.
-///   5. Shared batching: when a worker finishes a kShared task it keeps its
-///      reader hold open and drains up to `kMaxBatch - 1` more kShared
-///      head-of-lane tasks from *other* ready lanes before releasing
-///      (`kMaxBatch` = 8, executor.cc). With the result cache a read is
-///      microseconds, so the RwMutex acquire/release pair dominates;
-///      batching amortizes it across several reads. Lane order (rule 1) is
-///      preserved -- only head tasks are taken, one per lane at a time. A
-///      waiting writer can be passed by at most `kMaxBatch - 1` reads per
-///      hold, a bounded and deliberate trade; the RwMutex's writer
-///      preference still blocks fresh reader *acquisitions* behind it.
-///   6. Exclusive batching + post-lock continuations: symmetric to rule 5,
-///      a worker holding the *writer* lock drains up to `kMaxBatch - 1`
-///      more kExclusive head-of-lane tasks before releasing, so one
-///      writer acquisition covers several sessions' mutations. A task body
-///      may return a continuation, which the worker runs only AFTER the
-///      database lock is released -- that is where a durable write waits on
-///      its group-commit ticket (store/group_commit.h), so the fsync that
-///      makes a whole exclusive batch durable happens outside the lock and
-///      is paid once for the batch instead of once per mutation.
+///   5. Run to completion: a caller that blocks for the reply anyway may
+///      offer its task to RunInline(). When the lane is idle -- nothing
+///      running, nothing queued -- the task runs on the calling thread
+///      under the declared lock, with no queue, no worker wake-up and no
+///      reply handoff. Rule 1 holds because the lane is marked running for
+///      the duration, so anything submitted meanwhile queues behind it. A
+///      busy lane refuses, and the caller falls back to Submit().
+///   6. Post-lock continuations: a task body may return a continuation,
+///      which runs only AFTER the database lock is released, on the same
+///      thread and before the lane takes its next task. That is where a
+///      durable write waits on its group-commit ticket
+///      (store/group_commit.h): the fsync never blocks readers or the next
+///      writer, and concurrent writers' waits share one fsync.
 ///
-/// Shutdown() closes submission, drains every queued task, then joins the
-/// workers -- accepted work always runs exactly once (either its body plus
-/// its continuation or, past its deadline, its on_expired callback).
+/// Shutdown() closes submission, drains every queued task, waits for the
+/// inline runs in progress, then joins the workers -- accepted work always
+/// runs exactly once (either its body plus its continuation or, past its
+/// deadline, its on_expired callback).
 ///
 /// Lock discipline (checked by -Wthread-safety): all queue state -- lanes_,
 /// ready_, closed_, in_flight_ -- is guarded by mu_; the database itself is
 /// guarded by db_lock_, held in the task's declared mode around task.fn().
-/// mu_ is never held while *acquiring* db_lock_; the shared-batch path does
-/// acquire mu_ while db_lock_ is held (to pop the next task), which cannot
-/// deadlock precisely because the opposite order never occurs.
+/// mu_ is never held while *acquiring* db_lock_. A task body may take mu_
+/// under db_lock_ (a promoted read Submits its re-run from inside the
+/// shared task), which cannot deadlock because the opposite order never
+/// occurs.
 
 #ifndef ISIS_SERVER_EXECUTOR_H_
 #define ISIS_SERVER_EXECUTOR_H_
@@ -100,8 +96,8 @@ class Executor {
     int queue_capacity = 64;  ///< Per-lane task bound; beyond this, shed.
   };
 
-  /// `stats` may be null (tests); if set, queue depth and lock-wait times
-  /// are recorded there.
+  /// `stats` may be null (tests); if set, queue depth, lock-wait times and
+  /// inline runs are recorded there.
   explicit Executor(const Options& options, ServerStats* stats = nullptr);
   ~Executor();  ///< Calls Shutdown() if the caller has not.
 
@@ -125,12 +121,19 @@ class Executor {
                       std::function<void()> on_expired = nullptr)
       ISIS_EXCLUDES(mu_);
 
+  /// Rule 5: runs `task` and its continuation on the calling thread iff the
+  /// executor is open and `lane` is registered and idle, then returns true.
+  /// Otherwise returns false without touching `task`, which the caller may
+  /// still Submit. The caller must not hold the database lock.
+  bool RunInline(std::int64_t lane, TaskMode mode, const TaskFn& task)
+      ISIS_EXCLUDES(mu_, db_lock_);
+
   /// Closes submission, runs every queued task, joins the workers.
   /// Idempotent.
   void Shutdown() ISIS_EXCLUDES(mu_);
 
-  /// The RW lock workers take around tasks. Exposed so the server can run
-  /// inline work (recovery, checkpointing) under the same discipline.
+  /// The RW lock tasks run under. Exposed so the server can run its own
+  /// work (recovery, checkpointing) under the same discipline.
   RwMutex& db_lock() { return db_lock_; }
 
   int threads() const { return static_cast<int>(workers_.size()); }
@@ -146,30 +149,17 @@ class Executor {
   };
   struct Lane {
     std::deque<Task> queue;
-    bool running = false;  ///< A worker is executing this lane's head task.
+    bool running = false;  ///< A thread is executing one of this lane's tasks.
     bool removed = false;
   };
 
   void WorkerLoop() ISIS_EXCLUDES(mu_);
-  /// Runs `task.fn` under db_lock_ in the task's declared mode, recording
-  /// the acquisition wait. One scoped hold per mode keeps the analysis's
-  /// lock state balanced on every path. kShared/kExclusive tasks continue
-  /// into the same-mode batch drain (rules 5 and 6) before the hold is
-  /// released; every collected continuation runs after it.
-  void RunTask(Task& task) ISIS_EXCLUDES(mu_, db_lock_);
-  /// The rule-5/6 drain: runs up to kMaxBatch - 1 more `mode` head-of-lane
-  /// tasks while the caller's lock hold is still open, appending their
-  /// continuations to `post`. The caller must hold db_lock_ in `mode`.
-  void DrainBatchLocked(TaskMode mode, std::vector<PostLockFn>* post)
-      ISIS_EXCLUDES(mu_);
-  /// Claims the head task of some ready lane iff it declares `mode`,
-  /// marking the lane running. Lanes whose head needs another mode are
-  /// rotated to the back of ready_ untouched. False when no such head is
-  /// ready.
-  bool PopHeadTask(TaskMode mode, Task* task, std::shared_ptr<Lane>* lane,
-                   std::int64_t* lane_id) ISIS_EXCLUDES(mu_);
+  /// Runs `fn` under db_lock_ in `mode`, recording the acquisition wait,
+  /// then its continuation once the lock is released. One scoped hold per
+  /// mode keeps the analysis's lock state balanced on every path.
+  void RunTask(TaskMode mode, const TaskFn& fn) ISIS_EXCLUDES(mu_, db_lock_);
   /// The post-task lane bookkeeping (requeue / erase / shutdown notify),
-  /// shared by WorkerLoop and the batch drain.
+  /// shared by WorkerLoop and RunInline.
   void FinishLane(const std::shared_ptr<Lane>& lane, std::int64_t lane_id)
       ISIS_EXCLUDES(mu_);
   void RecordLockWait(bool exclusive,
@@ -186,6 +176,7 @@ class Executor {
   /// Lanes with queued, not-running work.
   std::deque<std::int64_t> ready_ ISIS_GUARDED_BY(mu_);
   bool closed_ ISIS_GUARDED_BY(mu_) = false;
+  /// Tasks running right now, on workers and inline callers alike.
   int in_flight_ ISIS_GUARDED_BY(mu_) = 0;
   /// Written by the constructor before any worker exists, joined by
   /// Shutdown() after submission closes; never touched concurrently.

@@ -1,66 +1,34 @@
 #include "server/loopback.h"
 
-#include <chrono>
-#include <memory>
-#include <utility>
-
-#include "common/sync.h"
+#include <string>
 
 namespace isis::server {
+
+namespace {
+
+/// `f` as the far side of a socket would read it: encoded, then decoded.
+Result<Frame> OverTheWire(const Frame& f) {
+  const std::string bytes = EncodeFrame(f);
+  Frame decoded;
+  std::size_t consumed = 0;
+  std::string error;
+  if (DecodeFrame(bytes, &decoded, &consumed, &error) != DecodeResult::kOk) {
+    return Status::Internal("loopback frame does not round-trip: " + error);
+  }
+  return decoded;
+}
+
+}  // namespace
 
 Result<Frame> LoopbackTransport::CallFrame(const Frame& req) {
   // Round-trip through the real wire encoding both ways, so loopback
   // traffic -- header extensions included -- exercises exactly what a
   // socket would carry.
-  std::string bytes = EncodeFrame(req);
-  Frame decoded;
-  std::size_t consumed = 0;
-  std::string error;
-  if (DecodeFrame(bytes, &decoded, &consumed, &error) != DecodeResult::kOk) {
-    return Status::Internal("loopback encode: " + error);
-  }
-
-  // The response callback may outlive this call (the worker answers after
-  // our deadline passed), so the rendezvous state is shared, not stack.
-  struct WaitState {
-    Mutex mu;
-    CondVar cv;
-    bool ready = false;
-    Frame resp;
-  };
-  auto state = std::make_shared<WaitState>();
-  server_->HandleFrame(session_id_, decoded, [state](const Frame& resp) {
-    std::string wire = EncodeFrame(resp);
-    Frame out;
-    std::size_t used = 0;
-    MutexLock lock(state->mu);
-    state->resp =
-        DecodeFrame(wire, &out, &used) == DecodeResult::kOk ? out : resp;
-    state->ready = true;
-    state->cv.NotifyOne();
-  });
-
-  MutexLock lock(state->mu);
-  if (req.deadline_ms > 0) {
-    // Deadline-bounded: the server enforces deadline_ms before dispatch,
-    // so allow it slack to produce the kDeadlineExceeded answer; if even
-    // that never comes the wait still ends.
-    const auto budget =
-        std::chrono::milliseconds(req.deadline_ms) +
-        std::chrono::milliseconds(250);
-    if (!state->cv.WaitFor(lock, budget, [&] {
-          state->mu.AssertHeld();
-          return state->ready;
-        })) {
-      return Status::IOError("loopback response timed out");
-    }
-  } else {
-    state->cv.Wait(lock, [&] {
-      state->mu.AssertHeld();
-      return state->ready;
-    });
-  }
-  return state->resp;
+  Result<Frame> request = OverTheWire(req);
+  ISIS_RETURN_NOT_OK(request.status());
+  Result<Frame> resp = server_->Call(session_id_, *request);
+  ISIS_RETURN_NOT_OK(resp.status());
+  return OverTheWire(*resp);
 }
 
 Status LoopbackTransport::Reconnect(std::int64_t resume_sid) {

@@ -4,9 +4,12 @@
 /// LoopbackTransport speaks the real wire protocol -- every request is
 /// encoded with EncodeFrame, re-decoded on the "server side", and the
 /// response makes the same round trip -- so tests and benchmarks exercise
-/// framing, checksums and payload conventions without a socket. It is a
-/// ClientTransport (retry.h): request flows wrap it in RetryingClient, and
-/// a test that needs a hand-built frame calls CallFrame directly.
+/// framing, checksums and payload conventions without a socket. In between
+/// sits one blocking Server::Call: the caller waits for the reply anyway,
+/// so on an idle session the request runs to completion on the caller's
+/// own thread (executor.h, rule 5). It is a ClientTransport (retry.h):
+/// request flows wrap it in RetryingClient, and a test that needs a
+/// hand-built frame calls CallFrame directly.
 
 #ifndef ISIS_SERVER_LOOPBACK_H_
 #define ISIS_SERVER_LOOPBACK_H_
@@ -26,11 +29,12 @@ namespace isis::server {
 ///
 /// Every frame makes the full encode/decode round trip both ways --
 /// including the v1 header extensions -- so deadline_ms and write_seq are
-/// exercised as wire bytes, not struct fields. CallFrame waits
-/// deadline-bounded when the request carries a deadline: a response that
-/// never arrives surfaces as an IOError instead of a hang. Until the first
-/// Reconnect() requests carry session id -1, which only kPing and kHello
-/// accept.
+/// exercised as wire bytes, not struct fields. CallFrame is encode,
+/// decode, Server::Call, encode, decode; Server::Call's wait is
+/// deadline-bounded when the request carries a deadline, so a response
+/// that never arrives surfaces as an IOError instead of a hang. Until the
+/// first Reconnect() requests carry session id -1, which only kPing and
+/// kHello accept.
 class LoopbackTransport : public ClientTransport {
  public:
   LoopbackTransport(Server* server, std::string client_name)

@@ -307,6 +307,52 @@ PostLockFn Server::ReplyAfterCommit(store::GroupCommitter::Ticket ticket,
 
 void Server::HandleFrame(std::int64_t session_id, const Frame& request,
                          ResponseCallback done) {
+  Route(session_id, request, std::move(done), /*run_inline=*/false);
+}
+
+Result<Frame> Server::Call(std::int64_t session_id, const Frame& request) {
+  // A queued request may be answered after our deadline passed, so the
+  // rendezvous state is shared with the callback, not stack.
+  struct Rendezvous {
+    Mutex mu;
+    CondVar cv;
+    bool ready = false;
+    Frame resp;
+  };
+  auto state = std::make_shared<Rendezvous>();
+  Route(
+      session_id, request,
+      [state](const Frame& resp) {
+        MutexLock lock(state->mu);
+        state->resp = resp;
+        state->ready = true;
+        state->cv.NotifyOne();
+      },
+      /*run_inline=*/true);
+
+  // An inline run has already answered; only a queued one is waited for.
+  MutexLock lock(state->mu);
+  auto answered = [&] {
+    state->mu.AssertHeld();
+    return state->ready;
+  };
+  if (request.deadline_ms > 0) {
+    // The executor enforces deadline_ms before dispatch, so allow it slack
+    // to produce the kDeadlineExceeded answer; if even that never comes the
+    // wait still ends.
+    const auto budget = std::chrono::milliseconds(request.deadline_ms) +
+                        std::chrono::milliseconds(250);
+    if (!state->cv.WaitFor(lock, budget, answered)) {
+      return Status::IOError("server response timed out");
+    }
+  } else {
+    state->cv.Wait(lock, answered);
+  }
+  return std::move(state->resp);
+}
+
+void Server::Route(std::int64_t session_id, const Frame& request,
+                   ResponseCallback done, bool run_inline) {
   auto t0 = std::chrono::steady_clock::now();
 
   if (request.type == MsgType::kPing) {
@@ -357,22 +403,24 @@ void Server::HandleFrame(std::int64_t session_id, const Frame& request,
       id = next_session_id_++;
     }
     executor_->AddLane(id);
-    SubmitResult r = executor_->Submit(
-        id, TaskMode::kShared,
-        [this, id, request, done, t0]() mutable -> PostLockFn {
-          auto s = std::make_shared<Session>(id, ws_.get(), live_.get());
-          {
-            MutexLock lock(sessions_mu_);
-            sessions_[id] = s;
-          }
-          Frame resp;
-          resp.type = MsgType::kOk;
-          resp.seq = request.seq;
-          resp.payload = JoinFields({std::to_string(id), ws_->name()});
-          Finish(request, resp, done, t0);
-          return {};
-        },
-        /*important=*/true);
+    TaskFn task = [this, id, request, done, t0]() mutable -> PostLockFn {
+      auto s = std::make_shared<Session>(id, ws_.get(), live_.get());
+      {
+        MutexLock lock(sessions_mu_);
+        sessions_[id] = s;
+      }
+      Frame resp;
+      resp.type = MsgType::kOk;
+      resp.seq = request.seq;
+      resp.payload = JoinFields({std::to_string(id), ws_->name()});
+      Finish(request, resp, done, t0);
+      return {};
+    };
+    if (run_inline && executor_->RunInline(id, TaskMode::kShared, task)) {
+      return;
+    }
+    SubmitResult r = executor_->Submit(id, TaskMode::kShared, std::move(task),
+                                       /*important=*/true);
     if (r != SubmitResult::kAccepted) {
       Frame resp =
           ErrorFrame(request, Status::Unavailable("server is closed"));
@@ -557,6 +605,7 @@ void Server::HandleFrame(std::int64_t session_id, const Frame& request,
     };
   }
 
+  if (run_inline && executor_->RunInline(s->id(), mode, task)) return;
   std::function<void()> on_expired;
   if (request.deadline_ms > 0) {
     // Expired while queued: answer without touching the database. To the

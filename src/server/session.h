@@ -4,17 +4,24 @@
 ///
 /// Architecture (one Server instance):
 ///
-///   transports (loopback / net)  --Frame-->  Server::HandleFrame
+///   loopback (blocks for the reply)      net (TcpServer's poll thread)
 ///        |                                        |
-///        |                              per-session lane queue
 ///        v                                        v
-///   FrameReader / EncodeFrame            Executor worker pool
-///                                     shared lock: query, explain,
-///                                       render, stats, poll
-///                                     exclusive lock: event, assign
-///                                          |
-///                                one query::Workspace + value indexes
-///                                + one live::LiveViewEngine + one WAL
+///   Server::Call --------------------------> Server::HandleFrame
+///        |  lane idle: run to completion          |  always queued
+///        |  on the caller's thread                v
+///        |                              per-session lane queue
+///        |  lane busy: queue and wait ----------> |
+///        v                                        v
+///   caller's thread                      Executor worker pool
+///        \______________________________________/
+///                           |
+///          shared lock: query, explain, render, hello
+///          exclusive lock: event, assign
+///          no lock: stats, poll, subscribe, bye
+///                           |
+///            one query::Workspace + value indexes
+///            + one live::LiveViewEngine + one WAL
 ///
 /// Each client session keeps its *own* UI state -- a shared-mode
 /// ui::SessionController holds the selection, pages, prompts and worksheet
@@ -179,8 +186,25 @@ class Server {
   /// deadline_ms expired while queued is answered kDeadlineExceeded without
   /// running (executor.h, rule 4). `done` fires exactly once -- kRetry when
   /// the session's queue is full, kError for protocol/engine errors.
+  ///
+  /// Asynchronous: every request that touches the database is queued for
+  /// the worker pool, so the calling thread never evaluates a query or
+  /// waits on an fsync. That is the contract TcpServer's single I/O thread
+  /// relies on.
   void HandleFrame(std::int64_t session_id, const Frame& request,
                    ResponseCallback done);
+
+  /// Routes one request exactly like HandleFrame and blocks for its
+  /// response, for callers that wait anyway (the in-process transport).
+  /// When the session's lane is idle the request runs to completion on the
+  /// calling thread (executor.h, rule 5): no queue, no worker, no reply
+  /// handoff. Otherwise -- the lane is busy, or a read is promoted to an
+  /// exclusive re-run -- it queues and Call waits for the worker's reply.
+  /// That wait is bounded when the request carries deadline_ms (the budget
+  /// plus 250 ms of slack for the kDeadlineExceeded answer) and fails with
+  /// IOError past it. Every protocol-level answer, kError included, is an
+  /// OK Result. Must not be called from inside a task.
+  Result<Frame> Call(std::int64_t session_id, const Frame& request);
 
   /// Drains every queued request, checkpoints (durable mode), rotates the
   /// WAL and stops the workers. Requests after this get kError. Returns the
@@ -230,6 +254,12 @@ class Server {
   Status ReplayRecord(const store::WalRecord& rec,
                       std::map<std::int64_t,
                                std::unique_ptr<ui::SessionController>>* ctrls);
+
+  /// The body of HandleFrame and Call: validates, picks the lock mode,
+  /// builds the task and runs it -- on the calling thread iff `run_inline`
+  /// and the lane is idle, otherwise through the executor's queue.
+  void Route(std::int64_t session_id, const Frame& request,
+             ResponseCallback done, bool run_inline);
 
   // Request handlers; `shared` handlers run under the shared lock,
   // `exclusive` ones alone. All return the response frame.

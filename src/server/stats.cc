@@ -37,7 +37,8 @@ std::string ServerStats::ToJsonLine() const {
       buf, sizeof(buf),
       "{\"name\": \"server_stats\", \"requests\": %lld, \"errors\": %lld, "
       "\"sheds\": %lld, \"reads\": %lld, \"writes\": %lld, "
-      "\"promotions\": %lld, \"notifications\": %lld, "
+      "\"promotions\": %lld, \"inline_runs\": %lld, "
+      "\"notifications\": %lld, "
       "\"deadline_drops\": %lld, \"dedup_hits\": %lld, "
       "\"heartbeats\": %lld, \"resumes\": %lld, \"idle_reaps\": %lld, "
       "\"eof_clean\": %lld, \"eof_truncated\": %lld, "
@@ -54,6 +55,7 @@ std::string ServerStats::ToJsonLine() const {
       static_cast<long long>(s.requests), static_cast<long long>(s.errors),
       static_cast<long long>(s.sheds), static_cast<long long>(s.reads),
       static_cast<long long>(s.writes), static_cast<long long>(s.promotions),
+      static_cast<long long>(s.inline_runs),
       static_cast<long long>(s.notifications),
       static_cast<long long>(s.deadline_drops),
       static_cast<long long>(s.dedup_hits),

@@ -25,6 +25,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 
@@ -38,6 +39,7 @@ struct StatsSnapshot {
   std::int64_t reads = 0;           ///< Completed under the shared lock.
   std::int64_t writes = 0;          ///< Completed under the exclusive lock.
   std::int64_t promotions = 0;      ///< Reads re-run exclusively (intern miss).
+  std::int64_t inline_runs = 0;     ///< Tasks run on the caller's thread.
   std::int64_t notifications = 0;   ///< kNotify fan-out messages queued.
   std::int64_t deadline_drops = 0;  ///< Requests expired before dispatch.
   std::int64_t dedup_hits = 0;      ///< Resent writes answered from cache.
@@ -90,17 +92,22 @@ class ServerStats {
 
   void RecordShed() { Add(&sheds_); }
 
-  /// `exclusive` says which lock the task ran under; `lock_wait_us` is how
-  /// long the worker blocked acquiring it.
-  void RecordDispatch(bool exclusive, std::int64_t lock_wait_us) {
+  /// `exclusive` says which lock the task ran under; `lock_wait` is how
+  /// long the running thread blocked acquiring it. Summed in nanoseconds:
+  /// an uncontended acquisition takes well under a microsecond, and
+  /// rounding each sample down would drop nearly all of them.
+  void RecordDispatch(bool exclusive, std::chrono::nanoseconds lock_wait) {
     if (exclusive) {
       Add(&writes_);
-      Add(&write_lock_wait_us_, lock_wait_us);
+      Add(&write_lock_wait_ns_, lock_wait.count());
     } else {
       Add(&reads_);
-      Add(&read_lock_wait_us_, lock_wait_us);
+      Add(&read_lock_wait_ns_, lock_wait.count());
     }
   }
+
+  /// One task run on the thread that asked for it (executor.h, rule 5).
+  void RecordInlineRun() { Add(&inline_runs_); }
 
   void RecordPromotion() { Add(&promotions_); }
   void RecordNotification() { Add(&notifications_); }
@@ -161,6 +168,7 @@ class ServerStats {
     s.reads = Get(reads_);
     s.writes = Get(writes_);
     s.promotions = Get(promotions_);
+    s.inline_runs = Get(inline_runs_);
     s.notifications = Get(notifications_);
     s.deadline_drops = Get(deadline_drops_);
     s.dedup_hits = Get(dedup_hits_);
@@ -171,8 +179,8 @@ class ServerStats {
     s.eof_truncated = Get(eof_truncated_);
     s.queue_depth = Get(queue_depth_);
     s.queue_peak = Get(queue_peak_);
-    s.read_lock_wait_us = Get(read_lock_wait_us_);
-    s.write_lock_wait_us = Get(write_lock_wait_us_);
+    s.read_lock_wait_us = Get(read_lock_wait_ns_) / 1000;
+    s.write_lock_wait_us = Get(write_lock_wait_ns_) / 1000;
     s.cache_hits = Get(cache_hits_);
     s.cache_misses = Get(cache_misses_);
     s.cache_evictions = Get(cache_evictions_);
@@ -237,6 +245,7 @@ class ServerStats {
   Counter reads_{0};
   Counter writes_{0};
   Counter promotions_{0};
+  Counter inline_runs_{0};
   Counter notifications_{0};
   Counter deadline_drops_{0};
   Counter dedup_hits_{0};
@@ -247,8 +256,8 @@ class ServerStats {
   Counter eof_truncated_{0};
   Counter queue_depth_{0};
   Counter queue_peak_{0};
-  Counter read_lock_wait_us_{0};
-  Counter write_lock_wait_us_{0};
+  Counter read_lock_wait_ns_{0};
+  Counter write_lock_wait_ns_{0};
   Counter cache_hits_{0};
   Counter cache_misses_{0};
   Counter cache_evictions_{0};

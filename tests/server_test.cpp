@@ -25,12 +25,14 @@
 #include "datasets/scaled_music.h"
 #include "query/eval.h"
 #include "query/parser.h"
+#include "server/executor.h"
 #include "server/faults.h"
 #include "server/loopback.h"
 #include "server/net.h"
 #include "server/proto.h"
 #include "server/retry.h"
 #include "server/session.h"
+#include "server/stats.h"
 #include "store/file.h"
 
 namespace isis::server {
@@ -167,6 +169,191 @@ TEST(ProtoTest, FrameReaderReassemblesByteByByte) {
   EXPECT_EQ(decoded[0].type, MsgType::kRender);
   EXPECT_EQ(decoded[1].payload, b.payload);
   EXPECT_EQ(reader.pending(), 0u);
+}
+
+// --- Executor: run-to-completion dispatch. ---
+
+/// A one-shot gate: Wait() blocks until some thread calls Open().
+class Gate {
+ public:
+  void Open() {
+    isis::MutexLock lock(mu_);
+    open_ = true;
+    cv_.NotifyAll();
+  }
+  void Wait() {
+    isis::MutexLock lock(mu_);
+    cv_.Wait(lock, [this] {
+      mu_.AssertHeld();
+      return open_;
+    });
+  }
+
+ private:
+  isis::Mutex mu_;
+  isis::CondVar cv_;
+  bool open_ ISIS_GUARDED_BY(mu_) = false;
+};
+
+/// The order tasks ran in, recorded from whichever thread ran them.
+class RunOrder {
+ public:
+  TaskFn Task(int tag) {
+    return [this, tag]() -> PostLockFn {
+      isis::MutexLock lock(mu_);
+      tags_.push_back(tag);
+      return {};
+    };
+  }
+  std::vector<int> tags() {
+    isis::MutexLock lock(mu_);
+    return tags_;
+  }
+
+ private:
+  isis::Mutex mu_;
+  std::vector<int> tags_ ISIS_GUARDED_BY(mu_);
+};
+
+TEST(ExecutorTest, RunInlineRunsOnTheCallingThread) {
+  ServerStats stats;
+  Executor ex(Executor::Options{}, &stats);
+  ex.AddLane(7);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (TaskMode mode :
+       {TaskMode::kShared, TaskMode::kExclusive, TaskMode::kNone}) {
+    std::thread::id body;
+    std::thread::id after;
+    EXPECT_TRUE(ex.RunInline(7, mode, [&]() -> PostLockFn {
+      body = std::this_thread::get_id();
+      return [&] { after = std::this_thread::get_id(); };
+    }));
+    EXPECT_EQ(body, caller);
+    EXPECT_EQ(after, caller) << "the continuation runs on the caller too";
+  }
+  ex.Shutdown();
+  StatsSnapshot s = stats.Snapshot();
+  EXPECT_EQ(s.inline_runs, 3);
+  EXPECT_EQ(s.reads, 1);
+  EXPECT_EQ(s.writes, 1);
+  EXPECT_EQ(s.queue_peak, 0) << "an inline run never touches the queue";
+}
+
+TEST(ExecutorTest, RunInlineRefusesARunningLaneAndKeepsTheTask) {
+  Executor ex(Executor::Options{});
+  ex.AddLane(1);
+  Gate started;
+  Gate release;
+  RunOrder order;
+  ASSERT_EQ(ex.Submit(1, TaskMode::kShared,
+                      [&, first = order.Task(1)]() -> PostLockFn {
+                        first();
+                        started.Open();
+                        release.Wait();
+                        return {};
+                      }),
+            SubmitResult::kAccepted);
+  started.Wait();
+
+  TaskFn second = order.Task(2);
+  EXPECT_FALSE(ex.RunInline(1, TaskMode::kShared, second));
+  ASSERT_TRUE(second) << "a refused task must stay intact";
+  ASSERT_EQ(ex.Submit(1, TaskMode::kShared, std::move(second)),
+            SubmitResult::kAccepted);
+  release.Open();
+  ex.Shutdown();
+  EXPECT_EQ(order.tags(), (std::vector<int>{1, 2}));
+}
+
+TEST(ExecutorTest, RunInlineRefusesALaneWithQueuedWork) {
+  // Lane 1 holds the only worker, so lane 2's first task stays queued.
+  Executor::Options options;
+  options.threads = 1;
+  Executor ex(options);
+  ex.AddLane(1);
+  ex.AddLane(2);
+  Gate started;
+  Gate release;
+  ASSERT_EQ(ex.Submit(1, TaskMode::kNone,
+                      [&]() -> PostLockFn {
+                        started.Open();
+                        release.Wait();
+                        return {};
+                      }),
+            SubmitResult::kAccepted);
+  started.Wait();
+
+  RunOrder order;
+  ASSERT_EQ(ex.Submit(2, TaskMode::kShared, order.Task(1)),
+            SubmitResult::kAccepted);
+  TaskFn late = order.Task(2);
+  EXPECT_FALSE(ex.RunInline(2, TaskMode::kShared, late))
+      << "running ahead of queued work would break lane order";
+  ASSERT_TRUE(late);
+  ASSERT_EQ(ex.Submit(2, TaskMode::kShared, std::move(late)),
+            SubmitResult::kAccepted);
+  release.Open();
+  ex.Shutdown();
+  EXPECT_EQ(order.tags(), (std::vector<int>{1, 2}));
+}
+
+TEST(ExecutorTest, RunInlineRefusesAfterShutdown) {
+  ServerStats stats;
+  Executor ex(Executor::Options{}, &stats);
+  ex.AddLane(1);
+  ex.Shutdown();
+  RunOrder order;
+  TaskFn task = order.Task(1);
+  EXPECT_FALSE(ex.RunInline(1, TaskMode::kShared, task));
+  EXPECT_TRUE(task);
+  EXPECT_TRUE(order.tags().empty());
+  EXPECT_EQ(stats.Snapshot().inline_runs, 0);
+}
+
+TEST(RwMutexTest, WritersRunAloneUnderContention) {
+  // Inline runs make the database lock contended by client threads. Writers
+  // keep two counters equal; a reader that ever sees them differ overlapped
+  // a writer (ThreadSanitizer would also report the race), and a lost
+  // wake-up would hang the test.
+  isis::RwMutex mu;
+  long a = 0;
+  long b = 0;
+  std::atomic<int> torn{0};
+  constexpr int kOps = 2000;
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 4; ++w) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kOps; ++i) {
+        isis::WriterLock lock(mu);
+        ++a;
+        ++b;
+      }
+    });
+  }
+  for (int r = 0; r < 4; ++r) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kOps; ++i) {
+        isis::ReaderLock lock(mu);
+        if (a != b) torn.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(torn.load(), 0);
+  EXPECT_EQ(a, 4 * kOps);
+}
+
+TEST(ServerStatsTest, LockWaitsSumInNanoseconds) {
+  // Sub-microsecond waits are the common case for an uncontended lock;
+  // each one must count, not round down to zero.
+  ServerStats stats;
+  for (int i = 0; i < 1000; ++i) {
+    stats.RecordDispatch(/*exclusive=*/false, std::chrono::nanoseconds(600));
+  }
+  StatsSnapshot s = stats.Snapshot();
+  EXPECT_EQ(s.reads, 1000);
+  EXPECT_EQ(s.read_lock_wait_us, 600);
+  EXPECT_EQ(s.write_lock_wait_us, 0);
 }
 
 // --- Server fixtures. ---
@@ -444,6 +631,51 @@ TEST(ServerTest, StatsRequestReportsCounters) {
   EXPECT_GE(s.requests, 3);  // hello + query + stats
   EXPECT_GE(s.reads, 1);
   EXPECT_EQ(s.queue_depth, 0) << "shutdown must drain every queue";
+  // One serial loopback session: every request found its lane idle.
+  EXPECT_GE(s.inline_runs, 2);
+  EXPECT_EQ(s.queue_peak, 0);
+  EXPECT_NE(final_line.find("\"inline_runs\""), std::string::npos);
+}
+
+TEST(ServerTest, CallRunsInlineButHandleFrameAlwaysQueues) {
+  std::unique_ptr<Server> srv = OpenScaled(2);
+  LoopbackTransport client(srv.get(), "t");
+  ASSERT_TRUE(client.Reconnect(-1).ok());
+  const Frame query{MsgType::kQuery, 2,
+                    JoinFields({"musicians", "e.plays ]= {inst0}"})};
+
+  const std::int64_t before = srv->stats().Snapshot().inline_runs;
+  Result<Frame> called = srv->Call(client.session_id(), query);
+  ASSERT_TRUE(called.ok());
+  EXPECT_EQ(called->type, MsgType::kQueryResult) << called->payload;
+  EXPECT_EQ(srv->stats().Snapshot().inline_runs, before + 1);
+
+  // HandleFrame serves the transports whose thread must not block (the TCP
+  // poll loop): the answer always comes from a worker.
+  Gate answered;
+  std::thread::id answered_on;
+  srv->HandleFrame(client.session_id(), query, [&](const Frame& resp) {
+    EXPECT_EQ(resp.payload, called->payload);
+    answered_on = std::this_thread::get_id();
+    answered.Open();
+  });
+  answered.Wait();
+  EXPECT_NE(answered_on, std::this_thread::get_id());
+  EXPECT_EQ(srv->stats().Snapshot().inline_runs, before + 1);
+  srv->Shutdown();
+}
+
+TEST(ServerTest, CallAfterShutdownAnswersError) {
+  std::unique_ptr<Server> srv = OpenScaled(2);
+  LoopbackTransport client(srv.get(), "late");
+  ASSERT_TRUE(client.Reconnect(-1).ok());
+  srv->Shutdown();
+  Result<Frame> resp =
+      srv->Call(client.session_id(),
+                Frame{MsgType::kQuery, 2,
+                      JoinFields({"musicians", "e.plays ]= {inst0}"})});
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_EQ(resp->type, MsgType::kError) << resp->payload;
 }
 
 // --- Fault tolerance: deadlines, heartbeats, resume, dedup. ---
