@@ -8,11 +8,11 @@ namespace isis::query {
 
 Status ConstraintCatalog::Define(const sdm::Database& db,
                                  const std::string& name, ClassId cls,
-                                 Predicate predicate) {
+                                 Predicate predicate, bool replace) {
   if (!IsValidName(name)) {
     return Status::InvalidArgument("invalid constraint name: '" + name + "'");
   }
-  if (by_name_.count(name) > 0) {
+  if (!replace && by_name_.count(name) > 0) {
     return Status::AlreadyExists("constraint '" + name + "' already exists");
   }
   if (!db.schema().HasClass(cls)) {
@@ -22,6 +22,7 @@ Status ConstraintCatalog::Define(const sdm::Database& db,
   PredicateContext ctx;
   ctx.candidate_class = cls;
   ISIS_RETURN_NOT_OK(eval.TypeCheck(predicate, ctx));
+  if (by_name_.count(name) > 0) ISIS_RETURN_NOT_OK(Drop(name));
   by_name_[name] = Constraint{name, cls, std::move(predicate)};
   order_.push_back(name);
   return Status::OK();

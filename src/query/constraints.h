@@ -56,9 +56,12 @@ class ConstraintCatalog {
  public:
   /// Adds a constraint after type-checking its predicate against `cls`
   /// (same rules as a membership predicate: candidate terms range over the
-  /// class, no self terms). Names are unique.
+  /// class, no self terms). Names are unique: an existing name fails with
+  /// AlreadyExists unless `replace`, in which case the old definition is
+  /// dropped -- after the checks pass, so a failure changes nothing -- and
+  /// the new one goes last in definition order.
   Status Define(const sdm::Database& db, const std::string& name, ClassId cls,
-                Predicate predicate);
+                Predicate predicate, bool replace = false);
 
   /// Removes a constraint by name.
   Status Drop(const std::string& name);

@@ -137,8 +137,9 @@ const AttributeDerivation* Workspace::GetAttributeDerivation(
 }
 
 Status Workspace::DefineConstraint(const std::string& name, ClassId cls,
-                                   Predicate pred) {
-  ISIS_RETURN_NOT_OK(constraints_.Define(db_, name, cls, std::move(pred)));
+                                   Predicate pred, bool replace) {
+  ISIS_RETURN_NOT_OK(
+      constraints_.Define(db_, name, cls, std::move(pred), replace));
   ++catalog_version_;
   return Status::OK();
 }

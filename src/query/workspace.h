@@ -12,6 +12,7 @@
 #ifndef ISIS_QUERY_WORKSPACE_H_
 #define ISIS_QUERY_WORKSPACE_H_
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -38,7 +39,22 @@ class Workspace {
   /// A name for the whole database ("Instrumental_Music"); shown in the view
   /// title bars and used as the default save name.
   const std::string& name() const { return name_; }
-  void set_name(std::string name) { name_ = std::move(name); }
+  void set_name(std::string name) {
+    name_ = std::move(name);
+    ++name_version_;
+  }
+
+  /// Changes whenever store::Save's output would: it sums the database's
+  /// data version, the schema generation, catalog_version() and a rename
+  /// count, each of which only grows. O(1), so a caller can compare it
+  /// before and after an operation to learn whether the operation may have
+  /// changed the durable state. It may also move when Save's output did
+  /// not (a failed schema mutator, an interned value), never the other way
+  /// round.
+  std::uint64_t save_version() const {
+    return db_.version() + db_.schema().generation() +
+           static_cast<std::uint64_t>(catalog_version_) + name_version_;
+  }
 
   // --- Derived subclasses. ---
 
@@ -69,9 +85,11 @@ class Workspace {
   // --- Integrity constraints (the paper's §5 extension). ---
 
   /// Defines a named constraint: every member of `cls` must satisfy
-  /// `pred`. Type-checked like a membership predicate.
+  /// `pred`. Type-checked like a membership predicate. With `replace`, an
+  /// existing constraint of that name is redefined -- only once the new
+  /// definition checks, so a failed redefinition keeps the old one.
   Status DefineConstraint(const std::string& name, ClassId cls,
-                          Predicate pred);
+                          Predicate pred, bool replace = false);
   Status DropConstraint(const std::string& name);
   /// Read access to the catalog (Check/CheckAll/Enforce take the db).
   const ConstraintCatalog& constraints() const { return constraints_; }
@@ -154,6 +172,7 @@ class Workspace {
   sdm::Database db_;
   std::string name_ = "untitled";
   std::int64_t catalog_version_ = 0;
+  std::uint64_t name_version_ = 0;  ///< set_name calls; see save_version().
   std::map<std::int64_t, Predicate> subclass_preds_;           // ClassId ->
   std::map<std::int64_t, AttributeDerivation> attr_derivs_;    // AttributeId ->
   ConstraintCatalog constraints_;

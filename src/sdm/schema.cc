@@ -103,6 +103,7 @@ Result<ClassId> Schema::CreateClassNode(const std::string& name,
 
 Result<ClassId> Schema::CreateBaseclass(const std::string& name,
                                         const std::string& naming_attribute) {
+  ++generation_;
   ISIS_ASSIGN_OR_RETURN(
       ClassId id,
       CreateClassNode(name, {}, Membership::kBase, BaseKind::kNone));
@@ -120,6 +121,7 @@ Result<ClassId> Schema::CreateBaseclass(const std::string& name,
 
 Result<ClassId> Schema::CreateSubclass(const std::string& name, ClassId parent,
                                        Membership membership) {
+  ++generation_;
   if (!HasClass(parent)) {
     return Status::NotFound("parent class does not exist");
   }
@@ -130,6 +132,7 @@ Result<ClassId> Schema::CreateSubclass(const std::string& name, ClassId parent,
 }
 
 Status Schema::AddParent(ClassId cls, ClassId extra_parent) {
+  ++generation_;
   if (!options_.allow_multiple_parents) {
     return Status::Unimplemented(
         "multiple-parent inheritance is disabled (Schema::Options)");
@@ -176,6 +179,7 @@ Status Schema::AddParent(ClassId cls, ClassId extra_parent) {
 }
 
 Status Schema::DeleteClass(ClassId cls) {
+  ++generation_;
   if (!HasClass(cls)) return Status::NotFound("class does not exist");
   if (cls.value() < 4) {
     return Status::Consistency("predefined baseclasses are permanent");
@@ -202,6 +206,7 @@ Status Schema::DeleteClass(ClassId cls) {
 }
 
 Status Schema::RenameClass(ClassId cls, const std::string& new_name) {
+  ++generation_;
   if (!HasClass(cls)) return Status::NotFound("class does not exist");
   if (classes_[cls.value()].name == new_name) return Status::OK();
   ISIS_RETURN_NOT_OK(CheckNameFree(new_name));
@@ -212,6 +217,7 @@ Status Schema::RenameClass(ClassId cls, const std::string& new_name) {
 }
 
 Status Schema::SetMembership(ClassId cls, Membership membership) {
+  ++generation_;
   if (!HasClass(cls)) return Status::NotFound("class does not exist");
   if (GetClass(cls).is_base() || membership == Membership::kBase) {
     return Status::Consistency("baseclass membership kind is fixed");
@@ -221,6 +227,7 @@ Status Schema::SetMembership(ClassId cls, Membership membership) {
 }
 
 Status Schema::SetAttributeOrigin(AttributeId attr, AttrOrigin origin) {
+  ++generation_;
   if (!HasAttribute(attr)) return Status::NotFound("attribute does not exist");
   if (attributes_[attr.value()].naming && origin == AttrOrigin::kDerived) {
     return Status::Consistency("naming attributes cannot be derived");
@@ -286,6 +293,7 @@ Result<AttributeId> Schema::CreateAttribute(ClassId owner,
                                             ClassId value_class,
                                             bool multivalued,
                                             AttrOrigin origin) {
+  ++generation_;
   if (!HasClass(owner)) return Status::NotFound("owner class does not exist");
   if (!HasClass(value_class)) {
     return Status::NotFound("value class does not exist");
@@ -306,6 +314,7 @@ Result<AttributeId> Schema::CreateAttribute(ClassId owner,
 
 Result<AttributeId> Schema::CreateAttributeIntoGrouping(
     ClassId owner, const std::string& name, GroupingId grouping) {
+  ++generation_;
   if (!HasGrouping(grouping)) {
     return Status::NotFound("grouping does not exist");
   }
@@ -319,6 +328,7 @@ Result<AttributeId> Schema::CreateAttributeIntoGrouping(
 }
 
 Status Schema::SetValueClass(AttributeId attr, ClassId value_class) {
+  ++generation_;
   if (!HasAttribute(attr)) return Status::NotFound("attribute does not exist");
   if (!HasClass(value_class)) {
     return Status::NotFound("value class does not exist");
@@ -332,6 +342,7 @@ Status Schema::SetValueClass(AttributeId attr, ClassId value_class) {
 }
 
 Status Schema::DeleteAttribute(AttributeId attr) {
+  ++generation_;
   if (!HasAttribute(attr)) return Status::NotFound("attribute does not exist");
   const AttributeDef& def = GetAttribute(attr);
   if (def.naming) {
@@ -350,6 +361,7 @@ Status Schema::DeleteAttribute(AttributeId attr) {
 }
 
 Status Schema::RenameAttribute(AttributeId attr, const std::string& new_name) {
+  ++generation_;
   if (!HasAttribute(attr)) return Status::NotFound("attribute does not exist");
   if (attributes_[attr.value()].name == new_name) return Status::OK();
   ISIS_RETURN_NOT_OK(
@@ -403,6 +415,7 @@ bool Schema::AttributeVisibleOn(ClassId cls, AttributeId attr) const {
 Result<GroupingId> Schema::CreateGrouping(const std::string& name,
                                           ClassId parent,
                                           AttributeId on_attribute) {
+  ++generation_;
   if (!HasClass(parent)) return Status::NotFound("parent class does not exist");
   if (!HasAttribute(on_attribute)) {
     return Status::NotFound("attribute does not exist");
@@ -427,6 +440,7 @@ Result<GroupingId> Schema::CreateGrouping(const std::string& name,
 }
 
 Status Schema::DeleteGrouping(GroupingId g) {
+  ++generation_;
   if (!HasGrouping(g)) return Status::NotFound("grouping does not exist");
   for (const AttributeDef& a : attributes_) {
     if (attribute_live_[a.id.value()] && a.value_grouping == g) {
@@ -440,6 +454,7 @@ Status Schema::DeleteGrouping(GroupingId g) {
 }
 
 Status Schema::RenameGrouping(GroupingId g, const std::string& new_name) {
+  ++generation_;
   if (!HasGrouping(g)) return Status::NotFound("grouping does not exist");
   if (groupings_[g.value()].name == new_name) return Status::OK();
   ISIS_RETURN_NOT_OK(CheckNameFree(new_name));
@@ -592,6 +607,7 @@ bool Schema::IsValueClassOfSomeAttribute(ClassId cls) const {
 }
 
 Status Schema::RestoreClass(const ClassDef& def) {
+  ++generation_;
   if (!def.id.valid() ||
       static_cast<size_t>(def.id.value()) < classes_.size()) {
     return Status::ParseError("class id collides with an existing slot");
@@ -611,6 +627,7 @@ Status Schema::RestoreClass(const ClassDef& def) {
 }
 
 Status Schema::RestoreAttribute(const AttributeDef& def) {
+  ++generation_;
   if (!def.id.valid() ||
       static_cast<size_t>(def.id.value()) < attributes_.size()) {
     return Status::ParseError("attribute id collides with an existing slot");
@@ -627,6 +644,7 @@ Status Schema::RestoreAttribute(const AttributeDef& def) {
 }
 
 Status Schema::RestoreGrouping(const GroupingDef& def) {
+  ++generation_;
   if (!def.id.valid() ||
       static_cast<size_t>(def.id.value()) < groupings_.size()) {
     return Status::ParseError("grouping id collides with an existing slot");

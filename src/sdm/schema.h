@@ -11,6 +11,7 @@
 #ifndef ISIS_SDM_SCHEMA_H_
 #define ISIS_SDM_SCHEMA_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -278,6 +279,13 @@ class Schema {
   /// reference live nodes, naming attributes in place, fill patterns unique.
   Status Validate() const;
 
+  /// Bumped on entry to every mutator, the restore API included, whether
+  /// or not the call succeeds: an unchanged generation means an unchanged
+  /// catalog. Many schema edits (creates, renames) bypass the database's
+  /// data version, so this is how a caller sees them in O(1) (see
+  /// query::Workspace::save_version).
+  std::uint64_t generation() const { return generation_; }
+
   // --- Restore API (store/ deserialization only). ---
   //
   // Inserts catalog rows at their original ids, filling id gaps left by
@@ -310,6 +318,7 @@ class Schema {
   std::unordered_map<std::string, ClassId> class_by_name_;
   std::unordered_map<std::string, GroupingId> grouping_by_name_;
   int next_fill_pattern_ = 0;
+  std::uint64_t generation_ = 0;  ///< See generation().
 };
 
 }  // namespace isis::sdm

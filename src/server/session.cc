@@ -113,6 +113,7 @@ Result<std::unique_ptr<Server>> Server::Open(
     };
     server->committer_ =
         std::make_unique<store::GroupCommitter>(server->wal_.get(), gc);
+    server->max_unwaited_ = gc.max_batch;
   }
   if (server->ws_->db().options().live_views) {
     server->live_ = std::make_unique<live::LiveViewEngine>(server->ws_.get());
@@ -537,6 +538,7 @@ void Server::Route(std::int64_t session_id, const Frame& request,
         }
       }
       bool log_wal = false;
+      const std::uint64_t saved_before = ws_->save_version();
       ws_->db().set_intern_frozen(false);
       Frame resp = HandleWriteLocked(s, request, &log_wal);
       ws_->db().set_intern_frozen(true);
@@ -546,15 +548,32 @@ void Server::Route(std::int64_t session_id, const Frame& request,
       // fsync behind it -- happens in the continuation, after the lock is
       // released; until then the reply does not exist.
       store::GroupCommitter::Ticket ticket;
+      bool wait = false;
       if (log_wal && committer_ != nullptr) {
         ticket =
             committer_->Enqueue(std::move(wal_type), std::move(wal_payload));
+        // Only a write that may have changed the database waits for its
+        // commit. A gesture that moved nothing but its own session's UI
+        // state answers now: its record rides with the next waited commit
+        // (the log is one ordered prefix, so that commit makes it durable
+        // first), and recovery discards session UI state anyway. After
+        // max_unwaited_ records without a waiter one reply waits again, so
+        // the committer's queue always has a drainer coming.
+        wait = request.type == MsgType::kAssign ||
+               ws_->save_version() != saved_before ||
+               unwaited_records_ >= max_unwaited_;
+        if (wait) {
+          unwaited_records_ = 0;
+        } else {
+          ++unwaited_records_;
+          stats_.RecordUnwaitedReply();
+        }
       }
       if (request.write_seq != 0) {
         s->set_last_write(request.write_seq, resp, ticket);
       }
-      return ReplyAfterCommit(ticket, request, std::move(resp),
-                              std::move(done), t0);
+      return ReplyAfterCommit(wait ? ticket : store::GroupCommitter::Ticket{},
+                              request, std::move(resp), std::move(done), t0);
     };
   } else {
     task = [this, s, request, done, t0]() mutable -> PostLockFn {
@@ -767,9 +786,10 @@ Frame Server::DoEvent(std::shared_ptr<Session> s, const Frame& req,
   // Errors surface in the session's message line, exactly like the
   // single-user interface; the response is still the rendered screen.
   Status st = s->ctrl().HandleEvent(*ev);
-  // The caller commits the record through the group committer once the
-  // exclusive lock is released; rejected events replay as no-ops anyway,
-  // so only accepted ones are worth a WAL slot.
+  // The caller enqueues the record on the group committer and decides
+  // whether the reply waits for it. Only accepted events are logged, so a
+  // rejected one must leave the database as it found it: recovery would
+  // not reproduce its effect.
   if (st.ok() && log_wal != nullptr) *log_wal = true;
   const ui::Screen& screen = s->ctrl().Render();
   Frame resp;

@@ -27,9 +27,9 @@
 /// ui::SessionController holds the selection, pages, prompts and worksheet
 /// -- while schema, data, stored queries, value indexes and live views are
 /// one copy shared by everyone. Reads run concurrently under the shared
-/// lock; mutations run alone under the exclusive lock, append to the
-/// server's write-ahead log before the response is sent, and fan change
-/// notifications out to subscribed sessions.
+/// lock; events and assigns run alone under the exclusive lock, append to
+/// the server's write-ahead log, and fan change notifications out to
+/// subscribed sessions.
 ///
 /// Interning discipline: while read tasks run, the database is
 /// *intern-frozen* (sdm/database.h, "Concurrency"): a read that would have
@@ -39,24 +39,33 @@
 /// lock, where interning is safe. Results are identical to a
 /// single-threaded run; only the lock held differs.
 ///
-/// Durability: in a durable server every mutation is in the WAL
-/// (`<dir>/<db>.server.wal`, records "sevent" = `<sid>|<event line>` and
-/// "assign") before its response is sent, via group commit
-/// (store/group_commit.h, DESIGN.md §14): the exclusive task applies the
-/// mutation and *enqueues* the pre-built WAL record while holding the
-/// writer lock -- so WAL order equals apply order -- then waits for its
-/// commit ticket in a post-lock continuation, after the lock is released.
-/// The fsync that makes a whole batch of mutations durable thus never
-/// blocks readers or the next writer, and under `wal_sync = kGroup` is
-/// paid once per batch instead of once per mutation. A commit that fails
-/// answers its write kError, and since the committer's failure is sticky,
-/// every later event/assign is refused before it applies; reads keep
-/// answering. Open() replays a
-/// leftover log through per-session replay controllers -- the same
-/// dispatch path that produced it -- then rotates it onto a fresh base
-/// checkpoint. Shutdown() drains the executor, flushes the committer,
-/// checkpoints to `<dir>/<db>.isis`, rotates the log and emits one stats
-/// JSON line.
+/// Durability: a durable server logs every accepted event and assign in
+/// the WAL (`<dir>/<db>.server.wal`, records "sevent" = `<sid>|<event
+/// line>` and "assign") via group commit (store/group_commit.h, DESIGN.md
+/// §14): the exclusive task applies the write and *enqueues* the pre-built
+/// WAL record while holding the writer lock -- so WAL order equals apply
+/// order. A write that changed the database (query::Workspace::
+/// save_version moved; every assign counts) then waits for its commit
+/// ticket in a post-lock continuation, after the lock is released, and
+/// only then replies. A gesture that changed nothing but its own session's
+/// UI state -- pick, view, follow, pop -- replies at once; its record rides
+/// with the next commit that is waited on. That is safe because the log is
+/// one ordered prefix: a waited ticket makes every earlier record durable
+/// too, so no reply claiming a change is sent before the navigation it
+/// built on is on disk, while recovery discards session UI state and so
+/// loses nothing a client saw when an unwaited tail dies in a crash. Once
+/// the committer's max_batch records have gone unwaited, the next reply
+/// waits anyway, which keeps a drainer coming for the committer's bounded
+/// queue. The fsync thus never blocks readers or the next writer, is paid
+/// once per batch under `wal_sync = kGroup`, and is not paid at all by
+/// most navigation replies. A commit that fails answers its waiting write
+/// kError, and since the committer's failure is sticky, every later
+/// event/assign is refused before it applies; reads keep answering.
+/// Open() replays a leftover log through per-session replay controllers --
+/// the same dispatch path that produced it -- then rotates it onto a fresh
+/// base checkpoint. Shutdown() drains the executor, flushes the committer
+/// (the unwaited tail included), checkpoints to `<dir>/<db>.isis`, rotates
+/// the log and emits one stats JSON line.
 
 #ifndef ISIS_SERVER_SESSION_H_
 #define ISIS_SERVER_SESSION_H_
@@ -265,10 +274,11 @@ class Server {
   // `exclusive` ones alone. All return the response frame.
   Frame HandleHello(const Frame& req);
   Frame HandleReadLocked(std::shared_ptr<Session> s, const Frame& req);
-  /// `log_wal` (out, may be null): set true iff the mutation applied and
-  /// must be in the WAL before the response is sent. The *caller* owns the
-  /// commit -- it enqueues the pre-built record on the group committer
-  /// under the lock and waits for the ticket after releasing it.
+  /// `log_wal` (out, may be null): set true iff the request was accepted
+  /// and belongs in the WAL. The *caller* owns the commit -- it enqueues
+  /// the pre-built record on the group committer under the lock and, if
+  /// save_version moved or the request is an assign, waits for the ticket
+  /// after releasing it; otherwise it replies without waiting.
   Frame HandleWriteLocked(std::shared_ptr<Session> s, const Frame& req,
                           bool* log_wal);
   Frame DoQuery(const Frame& req);
@@ -279,10 +289,11 @@ class Server {
   /// Fan out collected deltas to subscribed sessions (exclusive lock held).
   void FanOutDeltas();
   /// Answers a write whose WAL record holds `ticket`. Seq 0 (nothing was
-  /// logged): replies `resp` now and returns no continuation. Otherwise
-  /// returns the post-lock continuation that waits for the commit, then
-  /// replies `resp` -- or the commit's error, since an OK reply means the
-  /// write is durable.
+  /// logged, or the write changed nothing durable and need not wait):
+  /// replies `resp` now and returns no continuation. Otherwise returns the
+  /// post-lock continuation that waits for the commit, then replies `resp`
+  /// -- or the commit's error, since an OK reply means the write is
+  /// durable.
   PostLockFn ReplyAfterCommit(store::GroupCommitter::Ticket ticket,
                               const Frame& req, Frame resp,
                               ResponseCallback done,
@@ -309,6 +320,11 @@ class Server {
   /// Serializes WAL appends and amortizes fsyncs across concurrent
   /// mutations. Null iff wal_ is. Declared after wal_: destroyed first.
   std::unique_ptr<store::GroupCommitter> committer_;
+  /// Records enqueued since the last one whose reply waits for its commit,
+  /// and the most that may go unwaited (the committer's max_batch). Only
+  /// exclusive tasks touch them, so the writer lock orders every access.
+  int unwaited_records_ = 0;
+  int max_unwaited_ = 0;
 
   mutable Mutex sessions_mu_;
   std::map<std::int64_t, std::shared_ptr<Session>> sessions_

@@ -49,6 +49,7 @@ std::string ServerStats::ToJsonLine() const {
       "\"cache_flushes\": %lld, "
       "\"wal_batches\": %lld, \"wal_records\": %lld, \"wal_syncs\": %lld, "
       "\"wal_sync_us\": %lld, \"wal_group_max\": %lld, "
+      "\"unwaited_replies\": %lld, "
       "\"fsync_p50_us\": %.1f, \"fsync_p95_us\": %.1f, "
       "\"fsync_max_us\": %lld, "
       "\"p50_us\": %.1f, \"p95_us\": %.1f, \"max_us\": %lld",
@@ -77,7 +78,8 @@ std::string ServerStats::ToJsonLine() const {
       static_cast<long long>(s.wal_records),
       static_cast<long long>(s.wal_syncs),
       static_cast<long long>(s.wal_sync_us),
-      static_cast<long long>(s.wal_group_max), s.fsync_p50_us,
+      static_cast<long long>(s.wal_group_max),
+      static_cast<long long>(s.unwaited_replies), s.fsync_p50_us,
       s.fsync_p95_us, static_cast<long long>(s.fsync_max_us), s.p50_us,
       s.p95_us, static_cast<long long>(s.max_us));
   std::string out = buf;

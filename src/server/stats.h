@@ -64,6 +64,10 @@ struct StatsSnapshot {
   std::int64_t wal_syncs = 0;      ///< fsyncs issued; < wal_records = grouping.
   std::int64_t wal_sync_us = 0;    ///< Cumulative fsync time.
   std::int64_t wal_group_max = 0;  ///< Largest group committed by one fsync.
+  /// Logged writes answered without waiting for their WAL commit: gestures
+  /// that changed only their session's UI state (session.h, "Durability").
+  /// Over wal_records, the share of durable writes that skipped the disk.
+  std::int64_t unwaited_replies = 0;
   double fsync_p50_us = 0.0;       ///< Median fsync latency (interpolated).
   double fsync_p95_us = 0.0;       ///< 95th percentile fsync latency.
   std::int64_t fsync_max_us = 0;   ///< Exact slowest fsync.
@@ -147,6 +151,9 @@ class ServerStats {
     }
   }
 
+  /// One logged write answered before its WAL record was durable.
+  void RecordUnwaitedReply() { Add(&unwaited_replies_); }
+
   /// Absolute sync of the result-cache counters (the cache keeps its own
   /// under its own lock; the Server copies them over before a snapshot is
   /// served). Stores, not adds: the cache's counters are the truth.
@@ -191,6 +198,7 @@ class ServerStats {
     s.wal_syncs = Get(wal_syncs_);
     s.wal_sync_us = Get(wal_sync_us_);
     s.wal_group_max = Get(wal_group_max_);
+    s.unwaited_replies = Get(unwaited_replies_);
     s.fsync_p50_us = Percentile(fsync_buckets_, fsync_max_us_, 0.50);
     s.fsync_p95_us = Percentile(fsync_buckets_, fsync_max_us_, 0.95);
     s.fsync_max_us = Get(fsync_max_us_);
@@ -268,6 +276,7 @@ class ServerStats {
   Counter wal_syncs_{0};
   Counter wal_sync_us_{0};
   Counter wal_group_max_{0};
+  Counter unwaited_replies_{0};
   Counter fsync_max_us_{0};
   Counter max_us_{0};
   std::array<Counter, 32> by_type_{};

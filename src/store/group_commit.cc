@@ -43,10 +43,14 @@ GroupCommitter::Ticket GroupCommitter::Enqueue(std::string type,
                                                std::string payload) {
   MutexLock lock(mu_);
   if (pending_.size() >= static_cast<std::size_t>(options_.max_queue)) {
-    // Backpressure, not rejection: every queued record has a waiter coming,
-    // so the leader is (about to be) draining and space frees within one
-    // batch. The enqueuer may hold the database writer lock, but the
-    // leader needs only mu_, so this wait is fsync-bounded.
+    // Backpressure, not rejection: it relies on a waiter coming for a
+    // queued record, so the leader is (about to be) draining and space
+    // frees within one batch. The caller guarantees that -- the server
+    // lets at most max_batch records go unwaited before one reply waits
+    // again (server/session.h, "Durability"), so the newest max_queue
+    // records always include one with a waiter. The enqueuer may hold the
+    // database writer lock, but the leader needs only mu_, so this wait
+    // is fsync-bounded.
     ++counters_.queue_waits;
     cv_.Wait(lock, [this] {
       mu_.AssertHeld();

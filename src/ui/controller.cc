@@ -1439,13 +1439,11 @@ Status SessionController::CmdCommit() {
              "' evaluated";
     }
   } else if (w.target == WorksheetState::Target::kConstraint) {
-    // Redefinition replaces the stored predicate.
-    if (ws_->constraints().Has(w.constraint_name)) {
-      st = ws_->DropConstraint(w.constraint_name);
-    }
-    if (st.ok()) {
-      st = ws_->DefineConstraint(w.constraint_name, w.target_class, w.pred);
-    }
+    // Redefinition replaces the stored predicate, all or nothing: a commit
+    // that fails answers an error, is never logged, and so must leave the
+    // catalog as it found it.
+    st = ws_->DefineConstraint(w.constraint_name, w.target_class, w.pred,
+                               /*replace=*/true);
     if (st.ok()) {
       Result<query::ConstraintViolation> check =
           ws_->constraints().Check(ws_->db(), w.constraint_name);
@@ -1570,6 +1568,11 @@ Status SessionController::CmdRedo() {
 }
 
 Status SessionController::CmdSave() {
+  if (shared_mode_) {
+    // The server owns persistence (its WAL and checkpoint); a client must
+    // not rename the shared workspace or write a file it names.
+    return Fail(Status::Unimplemented("save is disabled in shared sessions"));
+  }
   state_.prompt = Prompt::kSaveName;
   Say("type the name to save the database as");
   return Status::OK();
@@ -1712,6 +1715,13 @@ Status SessionController::HandleText(const std::string& text) {
       DataPage* top = state_.top_page();
       if (top == nullptr || top->is_grouping) {
         return Fail(Status::InvalidArgument("no class page"));
+      }
+      // Checked before the entity exists: a failed command must leave the
+      // database as it found it (it is not logged, so recovery would not
+      // reproduce a half-done creation).
+      if (schema.GetClass(top->cls).membership == Membership::kDerived) {
+        return Fail(Status::Consistency(
+            "membership of a derived class is determined by its predicate"));
       }
       PushUndoSnapshot();
       ClassId base = schema.RootOf(top->cls);

@@ -56,8 +56,9 @@ class SessionController {
   /// multi-session server): this controller holds only per-session UI state
   /// (selection, pages, worksheet, prompts) while schema and data live in
   /// `*shared_ws`, visible to every session sharing it. Commands that would
-  /// replace or snapshot the whole workspace — undo, redo, load — return
-  /// Unimplemented, and the controller never attaches its own live engine
+  /// replace, snapshot or persist the whole workspace — undo, redo, load,
+  /// save (the owner persists it) — return Unimplemented, and the
+  /// controller never attaches its own live engine
   /// (pass the server's in `shared_live`, or null). The caller is
   /// responsible for serializing mutations across sessions; `shared_ws`
   /// must outlive the controller.

@@ -221,6 +221,39 @@ TEST_F(ConstraintUiTest, DefineOnTheWorksheetAndCheck) {
   EXPECT_EQ(session_.workspace().constraints().size(), 1u);
 }
 
+TEST_F(ConstraintUiTest, FailedRedefinitionKeepsTheOldConstraint) {
+  ASSERT_TRUE(Run("pick class:music_groups\n"
+                  "cmd define constraint\n"
+                  "type c\n"
+                  "pick atom:A\n"
+                  "pick clause:1\n"
+                  "cmd edit\n"
+                  "pick attr:size\n"
+                  "pick op:>\n"
+                  "cmd rhs constant\n"
+                  "cmd create constant\n"
+                  "type 1\n"
+                  "cmd accept constant\n"
+                  "cmd commit\n")
+                  .ok());
+  const std::string before = store::Save(session_.workspace());
+  const size_t undo_depth = session_.undo_depth();
+  // Redefining `c` over musicians keeps its music_groups predicate, which
+  // does not type-check there: the commit fails ...
+  Status st = Run("pick class:musicians\n"
+                  "cmd define constraint\n"
+                  "type c\n"
+                  "cmd commit\n");
+  EXPECT_TRUE(st.IsTypeError()) << st.ToString();
+  // ... and must change nothing: `c` still constrains music_groups.
+  ASSERT_EQ(session_.workspace().constraints().size(), 1u);
+  ClassId groups =
+      *session_.workspace().db().schema().FindClass("music_groups");
+  EXPECT_EQ(session_.workspace().constraints().Find("c")->cls, groups);
+  EXPECT_EQ(store::Save(session_.workspace()), before);
+  EXPECT_EQ(session_.undo_depth(), undo_depth);
+}
+
 TEST_F(ConstraintUiTest, DefineRequiresClassSelection) {
   EXPECT_TRUE(Run("cmd define constraint\n").IsInvalidArgument());
 }

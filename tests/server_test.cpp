@@ -16,10 +16,14 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <iterator>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
+#include "common/strings.h"
 #include "common/sync.h"
 #include "datasets/instrumental_music.h"
 #include "datasets/scaled_music.h"
@@ -34,6 +38,8 @@
 #include "server/session.h"
 #include "server/stats.h"
 #include "store/file.h"
+#include "store/serializer.h"
+#include "store/wal.h"
 
 namespace isis::server {
 namespace {
@@ -635,6 +641,9 @@ TEST(ServerTest, StatsRequestReportsCounters) {
   EXPECT_GE(s.inline_runs, 2);
   EXPECT_EQ(s.queue_peak, 0);
   EXPECT_NE(final_line.find("\"inline_runs\""), std::string::npos);
+  // Not durable: nothing is logged, so no reply skips a commit wait.
+  EXPECT_EQ(s.unwaited_replies, 0);
+  EXPECT_NE(final_line.find("\"unwaited_replies\": 0"), std::string::npos);
 }
 
 TEST(ServerTest, CallRunsInlineButHandleFrameAlwaysQueues) {
@@ -906,7 +915,8 @@ TEST(ServerTest, CrashRecoveryReplaysTheWal) {
     ASSERT_TRUE(client.Connect().ok());
     ASSERT_TRUE(
         client.Assign("musicians", "musician5", "plays", "inst0").ok());
-    // UI events are durable too.
+    // A UI event is logged too, but its reply does not wait for the disk:
+    // it changed only this session's UI state, which recovery discards.
     Result<Frame> ev = client.Call(MsgType::kEvent, "pick class:musicians");
     ASSERT_TRUE(ev.ok());
     ASSERT_EQ(ev->type, MsgType::kScreen);
@@ -985,6 +995,552 @@ TEST(ServerTest, FailedWalCommitIsAnErrorAndRefusesLaterWrites) {
   EXPECT_EQ(after->payload, before->payload) << "the refused write applied";
   srv->Shutdown();
   WipeDurable(name);
+}
+
+// --- Which replies wait for the disk. ---
+
+/// A durable server over the §4.1 instrumental-music database, the one the
+/// REPL gestures below are written against.
+std::unique_ptr<Server> OpenDurableMusic(const std::string& db_name,
+                                         store::FileEnv* env = nullptr) {
+  ServerOptions options;
+  options.threads = 2;
+  options.durable_dir = DurableDir();
+  options.env = env;
+  std::unique_ptr<query::Workspace> ws = datasets::BuildInstrumentalMusic();
+  ws->set_name(db_name);
+  Result<std::unique_ptr<Server>> opened =
+      Server::Open(std::move(ws), options);
+  EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+  return opened.ok() ? std::move(opened).ValueOrDie() : nullptr;
+}
+
+/// Sends one REPL gesture and returns the message line of the redrawn
+/// screen ("! <Status>" when the gesture was rejected), or the frame type
+/// and payload when the answer is not a screen.
+std::string Gesture(RetryingClient& client, const std::string& line) {
+  Result<Frame> resp = client.Call(MsgType::kEvent, line);
+  if (!resp.ok()) return "transport: " + resp.status().ToString();
+  if (resp->type != MsgType::kScreen) {
+    return std::string(MsgTypeName(resp->type)) + " " + resp->payload;
+  }
+  return SplitFields(resp->payload)[0];
+}
+
+bool Rejected(const std::string& message) {
+  return message.rfind("! ", 0) == 0;
+}
+
+/// The first line at which two store::Save outputs differ, as
+/// "<before> -> <after>", for failure messages.
+std::string FirstDiff(const std::string& before, const std::string& after) {
+  std::vector<std::string> a = Split(before, '\n');
+  std::vector<std::string> b = Split(after, '\n');
+  for (std::size_t i = 0; i < a.size() || i < b.size(); ++i) {
+    const std::string x = i < a.size() ? a[i] : "(none)";
+    const std::string y = i < b.size() ? b[i] : "(none)";
+    if (x != y) return x + " -> " + y;
+  }
+  return "(no difference)";
+}
+
+/// The constraint-redefinition repro: `c` over music_groups, then a
+/// redefinition over musicians whose inherited predicate cannot type-check.
+const char* const kRedefineConstraintScript[] = {
+    "pick class:music_groups", "cmd define constraint", "type c",
+    "pick atom:A",             "pick clause:1",         "cmd edit",
+    "pick attr:size",          "pick op:>",             "cmd rhs constant",
+    "cmd create constant",     "type 1",                "cmd accept constant",
+    "cmd commit",              "pick class:musicians",  "cmd define constraint",
+    "type c",                  "cmd commit",
+};
+
+/// Seeded random REPL gestures over whatever the shared workspace holds
+/// right now. Most come as short edit scripts with random but plausible
+/// arguments (real class, attribute and member names), one per editing
+/// command a shared session accepts, so each of them commits now and then;
+/// the rest are single random picks, commands and answers, most of which
+/// are rejected.
+class GestureFuzzer {
+ public:
+  struct Script {
+    std::string kind;
+    std::vector<std::string> lines;
+  };
+
+  GestureFuzzer(std::uint64_t seed, const query::Workspace* ws)
+      : rng_(seed), ws_(ws) {}
+
+  Script Next() {
+    static const char* const kKinds[] = {
+        "create subclass",     "create baseclass",  "create attribute",
+        "value class",         "create grouping",   "rename",
+        "delete",              "define membership", "define derivation",
+        "define constraint",   "drop constraint",   "assign",
+        "create entity",       "delete entity",     "make subclass",
+        "whole-workspace ops", "navigate",          "random",
+    };
+    Script s;
+    s.kind = kKinds[rng_.Below(std::size(kKinds))];
+    std::vector<std::string>& l = s.lines;
+    if (s.kind != "random") {
+      l = {"cmd abort", "cmd abort", "cmd view forest"};
+    }
+    const std::string cls = ClassName();
+    if (s.kind == "create subclass") {
+      l.insert(l.end(),
+               {"pick class:" + cls, "cmd create subclass", "type " + Name()});
+    } else if (s.kind == "create baseclass") {
+      l.insert(l.end(),
+               {"cmd create baseclass", "type " + Name(), "type " + Name()});
+    } else if (s.kind == "create attribute") {
+      l.insert(l.end(), {"pick class:" + cls, "cmd create attribute",
+                         "type " + Name()});
+    } else if (s.kind == "value class") {
+      l.insert(l.end(), {"pick attr:" + AttrName(),
+                         "cmd (re)specify value class", "pick class:" + cls});
+    } else if (s.kind == "create grouping") {
+      l.insert(l.end(), {"pick attr:" + AttrName(), "cmd create grouping",
+                         "type " + Name()});
+    } else if (s.kind == "rename" || s.kind == "delete") {
+      l.push_back(SchemaPick(cls));
+      if (s.kind == "rename") {
+        l.insert(l.end(), {"cmd (re)name", "type " + Name()});
+      } else {
+        l.push_back("cmd delete");
+      }
+    } else if (s.kind == "define membership" ||
+               s.kind == "define constraint") {
+      l.push_back("pick class:" + cls);
+      if (s.kind == "define membership") {
+        l.push_back("cmd (re)define membership");
+      } else {
+        l.insert(l.end(), {"cmd define constraint",
+                           "type c" + std::to_string(rng_.Below(3))});
+      }
+      if (rng_.Chance(0.8)) Atom(cls, &l);
+      l.push_back("cmd commit");
+    } else if (s.kind == "define derivation") {
+      Derivation(&l);
+    } else if (s.kind == "drop constraint") {
+      l.insert(l.end(), {"cmd drop constraint",
+                         "type c" + std::to_string(rng_.Below(3))});
+    } else if (s.kind == "assign") {
+      l.insert(l.end(), {"pick class:" + cls, "cmd view contents",
+                         "pick member:" + MemberOf(cls), "cmd follow"});
+      const std::string attr = AttrOf(cls);
+      l.insert(l.end(), {"pick attr:" + attr,
+                         "pick member:" + MemberOf(ValueClassOf(cls, attr)),
+                         "cmd (re)assign att. value", "cmd pop", "cmd pop"});
+    } else if (s.kind == "create entity") {
+      l.insert(l.end(), {"pick class:" + cls, "cmd view contents",
+                         "cmd create entity", "type " + Name()});
+    } else if (s.kind == "delete entity" || s.kind == "make subclass") {
+      l.insert(l.end(), {"pick class:" + cls, "cmd view contents",
+                         "pick member:" + MemberOf(cls)});
+      if (s.kind == "delete entity") {
+        l.push_back("cmd delete entity");
+      } else {
+        l.insert(l.end(), {"cmd make subclass", "type " + Name()});
+      }
+    } else if (s.kind == "whole-workspace ops") {
+      // Refused in a shared session: the server owns persistence.
+      l.insert(l.end(), {"cmd save", "type ../" + Name(), "cmd load",
+                         "type " + ws_->name(), "cmd undo", "cmd redo"});
+    } else if (s.kind == "navigate") {
+      l.insert(l.end(), {"pick class:" + cls, "cmd view contents",
+                         "pick member:" + MemberOf(cls), "cmd follow",
+                         "pick attr:" + AttrOf(cls), "cmd members down",
+                         "cmd members up", "cmd pop", "cmd pop",
+                         "pick class:" + cls, "cmd view associations",
+                         "cmd display predicate", "cmd check constraints",
+                         "cmd statistics", "cmd show history", "cmd pop"});
+    } else {
+      const int n = 1 + static_cast<int>(rng_.Below(3));
+      for (int i = 0; i < n; ++i) l.push_back(RandomGesture(cls));
+    }
+    return s;
+  }
+
+ private:
+  template <typename T>
+  const T& Pick(const std::vector<T>& v) {
+    return v[rng_.Below(v.size())];
+  }
+  const sdm::Schema& schema() const { return ws_->db().schema(); }
+
+  /// A fresh valid name most of the time; an existing or invalid one
+  /// otherwise, so name clashes and bad input get exercised too.
+  std::string Name() {
+    const double r = rng_.Unit();
+    if (r < 0.1) return ClassName();
+    if (r < 0.15) return "bad`name";
+    return "n" + std::to_string(next_name_++);
+  }
+  std::string ClassName() {
+    std::vector<std::string> names;
+    for (ClassId c : schema().AllClasses()) {
+      names.push_back(schema().GetClass(c).name);
+    }
+    return Pick(names);
+  }
+  std::string AttrName() {
+    std::vector<std::string> names;
+    for (ClassId c : schema().AllClasses()) {
+      for (AttributeId a : schema().GetClass(c).own_attributes) {
+        if (schema().HasAttribute(a)) {
+          names.push_back(schema().GetAttribute(a).name);
+        }
+      }
+    }
+    return Pick(names);
+  }
+  std::string AttrOf(const std::string& cls) {
+    Result<ClassId> c = schema().FindClass(cls);
+    if (!c.ok()) return AttrName();
+    std::vector<AttributeId> attrs = schema().AllAttributesOf(*c);
+    return attrs.empty() ? AttrName()
+                         : schema().GetAttribute(Pick(attrs)).name;
+  }
+  std::string ValueClassOf(const std::string& cls, const std::string& attr) {
+    Result<ClassId> c = schema().FindClass(cls);
+    if (!c.ok()) return ClassName();
+    Result<AttributeId> a = schema().FindAttribute(*c, attr);
+    if (!a.ok()) return ClassName();
+    return schema().GetClass(schema().GetAttribute(*a).value_class).name;
+  }
+  std::string MemberOf(const std::string& cls) {
+    Result<ClassId> c = schema().FindClass(cls);
+    if (!c.ok() || ws_->db().Members(*c).empty()) return "nobody";
+    std::vector<EntityId> members(ws_->db().Members(*c).begin(),
+                                  ws_->db().Members(*c).end());
+    return ws_->db().NameOf(Pick(members));
+  }
+  std::string SchemaPick(const std::string& cls) {
+    const std::uint64_t r = rng_.Below(3);
+    if (r == 0) return "pick attr:" + AttrName();
+    std::vector<GroupingId> groupings = schema().AllGroupings();
+    if (r == 1 && !groupings.empty()) {
+      return "pick grouping:" + schema().GetGrouping(Pick(groupings)).name;
+    }
+    return "pick class:" + cls;
+  }
+  /// Derives a multivalued attribute A of class C with the hand operator
+  /// as x.B, where B is an attribute of C into A's value class when there
+  /// is one.
+  void Derivation(std::vector<std::string>* l) {
+    std::vector<AttributeId> multi;
+    for (ClassId c : schema().AllClasses()) {
+      for (AttributeId a : schema().GetClass(c).own_attributes) {
+        if (schema().HasAttribute(a) && schema().GetAttribute(a).multivalued) {
+          multi.push_back(a);
+        }
+      }
+    }
+    if (multi.empty()) return;
+    const sdm::AttributeDef& def = schema().GetAttribute(Pick(multi));
+    std::vector<std::string> sources;
+    for (AttributeId b : schema().AllAttributesOf(def.owner)) {
+      const sdm::AttributeDef& src = schema().GetAttribute(b);
+      if (b != def.id && src.value_class == def.value_class) {
+        sources.push_back(src.name);
+      }
+    }
+    const std::string owner = schema().GetClass(def.owner).name;
+    l->insert(l->end(),
+              {"pick class:" + owner, "pick attr:" + owner + "." + def.name,
+               "cmd (re)define derivation", "cmd hand",
+               "pick attr:" + (sources.empty() ? AttrOf(owner)
+                                               : Pick(sources)),
+               "cmd commit"});
+  }
+  /// Fills atom A on the worksheet: lhs map, operator, constant rhs.
+  void Atom(const std::string& cls, std::vector<std::string>* l) {
+    static const char* const kOps[] = {"=", "<=", ">", "[=", "]="};
+    Result<ClassId> c = schema().FindClass(cls);
+    const std::string parent =
+        c.ok() && !schema().GetClass(*c).is_base()
+            ? schema().GetClass(schema().GetClass(*c).parent()).name
+            : cls;
+    const std::string attr = AttrOf(rng_.Chance(0.5) ? parent : cls);
+    l->insert(l->end(), {"pick atom:A", "pick clause:1", "cmd edit",
+                         "pick attr:" + attr,
+                         std::string("pick op:") + kOps[rng_.Below(5)],
+                         "cmd rhs constant"});
+    if (rng_.Chance(0.5)) {
+      l->insert(l->end(), {"cmd create constant",
+                           "type " + std::to_string(rng_.Below(6))});
+    } else {
+      l->push_back("pick member:" +
+                   MemberOf(ValueClassOf(rng_.Chance(0.5) ? parent : cls,
+                                         attr)));
+    }
+    l->push_back("cmd accept constant");
+  }
+  std::string RandomGesture(const std::string& cls) {
+    static const char* const kCommands[] = {
+        "view associations", "view contents",   "view forest",
+        "pop",               "follow",          "create subclass",
+        "create attribute",  "create grouping", "(re)define membership",
+        "(re)define derivation", "add parent",  "define constraint",
+        "check constraints", "drop constraint", "display predicate",
+        "(re)name",          "(re)specify value class", "delete",
+        "(re)assign att. value", "make subclass", "create entity",
+        "delete entity",     "select/reject",   "accept constant",
+        "create constant",   "statistics",      "show history",
+        "pan left",          "pan down",        "members down",
+        "edit",              "lhs",             "negate",
+        "switch and/or",     "clear atom",      "hand",
+        "rhs map",           "rhs map from owner",
+        "rhs map starting at class",            "rhs constant",
+        "rhs constant starting at class",       "place 1",
+        "commit",            "abort",
+    };
+    switch (rng_.Below(7)) {
+      case 0:
+        return "pick class:" + cls;
+      case 1:
+        return "pick attr:" + AttrName();
+      case 2:
+        return "pick member:" + MemberOf(cls);
+      case 3:
+        return "pick atom:" + std::string(1, static_cast<char>(
+                                                 'A' + rng_.Below(3)));
+      case 4:
+        return "type " + Name();
+      default:
+        return std::string("cmd ") + kCommands[rng_.Below(
+                                         std::size(kCommands))];
+    }
+  }
+
+  Rng rng_;
+  const query::Workspace* ws_;
+  int next_name_ = 0;
+};
+
+/// The classification oracle. Around every gesture, store::Save of the
+/// shared workspace is the ground truth of "changed the database": a
+/// gesture whose Save output moved must have waited for its commit (no
+/// unwaited reply was counted for it), and a rejected gesture -- which is
+/// never logged -- must not have moved it at all, since recovery would
+/// not reproduce the change.
+TEST(ServerTest, OnlyGesturesThatChangedNothingSkipTheCommitWait) {
+  const std::string name = "SrvOracle";
+  std::set<std::string> committed_kinds;
+  std::int64_t changed = 0, unwaited = 0;
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    WipeDurable(name);
+    std::unique_ptr<Server> srv = OpenDurableMusic(name);
+    ASSERT_NE(srv, nullptr);
+    RetryingClient client(
+        std::make_unique<LoopbackTransport>(srv.get(), "fuzz"),
+        RetryOptions());
+    ASSERT_TRUE(client.Connect().ok());
+    GestureFuzzer fuzz(seed, &srv->workspace());
+    std::vector<GestureFuzzer::Script> scripts;
+    scripts.push_back({"redefine constraint",
+                       {std::begin(kRedefineConstraintScript),
+                        std::end(kRedefineConstraintScript)}});
+    for (int i = 0; i < 150; ++i) scripts.push_back(fuzz.Next());
+    for (const GestureFuzzer::Script& script : scripts) {
+      for (const std::string& line : script.lines) {
+        const std::string before = store::Save(srv->workspace());
+        const std::int64_t skipped0 =
+            srv->stats().Snapshot().unwaited_replies;
+        const std::string message = Gesture(client, line);
+        const std::string after = store::Save(srv->workspace());
+        const std::int64_t skipped =
+            srv->stats().Snapshot().unwaited_replies - skipped0;
+        ASSERT_LE(skipped, 1) << line;
+        unwaited += skipped;
+        if (Rejected(message)) {
+          EXPECT_TRUE(after == before)
+              << "rejected gesture '" << line << "' (" << script.kind
+              << ", seed " << seed << ") changed the database: " << message
+              << "\n  " << FirstDiff(before, after);
+          EXPECT_EQ(skipped, 0) << line;
+        } else if (after != before) {
+          ++changed;
+          committed_kinds.insert(script.kind);
+          EXPECT_EQ(skipped, 0)
+              << "'" << line << "' (" << script.kind << ", seed " << seed
+              << ") changed the database but did not wait for its commit";
+        }
+      }
+    }
+    srv->Shutdown();
+  }
+  WipeDurable(name);
+  // The fuzzer reached every editing command, and both kinds of reply.
+  for (const char* kind :
+       {"create subclass", "create baseclass", "create attribute",
+        "value class", "create grouping", "rename", "delete",
+        "define membership", "define derivation", "define constraint",
+        "drop constraint", "assign", "create entity", "delete entity",
+        "make subclass"}) {
+    EXPECT_EQ(committed_kinds.count(kind), 1u) << kind << " never committed";
+  }
+  EXPECT_EQ(committed_kinds.count("whole-workspace ops"), 0u);
+  EXPECT_GT(changed, 50);
+  EXPECT_GT(unwaited, 500);
+}
+
+/// A failed first WAL sync: the navigation gesture before it skipped the
+/// wait and still answers its screen, the mutating gesture whose wait hit
+/// the failure answers kError (its record and the navigation's are both
+/// lost), later writes -- navigation included -- are refused before they
+/// apply, and reads keep answering.
+TEST(ServerTest, FailedSyncAfterAnUnwaitedGestureFailsTheNextWaitedOne) {
+  const std::string name = "SrvNavFail";
+  store::FaultInjectingEnv planning(store::FaultPlan{});
+  WipeDurable(name);
+  ASSERT_NE(OpenDurableMusic(name, &planning), nullptr);
+  store::FaultInjectingEnv env(
+      store::FaultPlan{.fail_sync = planning.syncs()});
+  WipeDurable(name);
+  std::unique_ptr<Server> srv = OpenDurableMusic(name, &env);
+  ASSERT_NE(srv, nullptr);
+  RetryingClient client(std::make_unique<LoopbackTransport>(srv.get(), "t"),
+                        RetryOptions());
+  ASSERT_TRUE(client.Connect().ok());
+
+  EXPECT_FALSE(Rejected(Gesture(client, "pick class:musicians")));
+  EXPECT_EQ(srv->stats().Snapshot().unwaited_replies, 1);
+  EXPECT_FALSE(Rejected(Gesture(client, "cmd create subclass")));
+  const std::string failed = Gesture(client, "type soloists2");
+  EXPECT_EQ(failed.rfind("kError ", 0), 0u) << failed;
+  EXPECT_EQ(Gesture(client, "pick class:instruments").rfind("kError ", 0), 0u);
+  Status refused = client.Assign("musicians", "Ray", "plays", "violin");
+  EXPECT_FALSE(refused.ok());
+  Result<std::vector<std::string>> read =
+      client.Query("musicians", "e.plays ]= {violin}");
+  EXPECT_TRUE(read.ok()) << read.status().ToString();
+  srv->Shutdown();
+  WipeDurable(name);
+}
+
+/// A mutating gesture's reply makes every record before it durable: the
+/// navigation it built on is in the WAL the moment the reply arrives. The
+/// navigation after it is not waited for, and a crash that loses it loses
+/// nothing the database holds.
+TEST(ServerTest, WaitedReplyCoversEveryEarlierRecordAndCrashLosesOnlyUiState) {
+  const std::string name = "SrvNavCrash";
+  WipeDurable(name);
+  const std::string wal = DurableDir() + "/" + name + ".server.wal";
+  std::string live;
+  {
+    std::unique_ptr<Server> srv = OpenDurableMusic(name);
+    ASSERT_NE(srv, nullptr);
+    RetryingClient client(
+        std::make_unique<LoopbackTransport>(srv.get(), "t"), RetryOptions());
+    ASSERT_TRUE(client.Connect().ok());
+    const std::vector<std::string> walk = {
+        "pick class:musicians", "cmd view contents", "pick member:Ray",
+        "cmd follow",           "pick attr:plays",   "pick member:violin",
+        "cmd (re)assign att. value"};
+    for (const std::string& line : walk) {
+      ASSERT_FALSE(Rejected(Gesture(client, line))) << line;
+    }
+    EXPECT_GE(srv->stats().Snapshot().unwaited_replies, 5);
+    Result<store::WalContents> logged =
+        store::ReadWal(wal, store::FileEnv::Default());
+    ASSERT_TRUE(logged.ok()) << logged.status().ToString();
+    ASSERT_EQ(logged->records.size(), 1 + walk.size()) << "base + the walk";
+    for (std::size_t i = 0; i < walk.size(); ++i) {
+      const std::string& payload = logged->records[i + 1].payload;
+      EXPECT_EQ(payload.substr(payload.find('|') + 1), walk[i]);
+    }
+    for (const char* line : {"cmd pop", "cmd pop", "pick class:instruments"}) {
+      ASSERT_FALSE(Rejected(Gesture(client, line))) << line;
+    }
+    live = store::Save(srv->workspace());
+    // No Shutdown(): the destructor is the crash.
+  }
+  std::unique_ptr<Server> srv = OpenDurableMusic(name);
+  ASSERT_NE(srv, nullptr);
+  EXPECT_EQ(store::Save(srv->workspace()), live);
+  srv->Shutdown();
+  WipeDurable(name);
+}
+
+/// Liveness: a navigation-only stream longer than the committer's queue
+/// bound must not fill it with records nobody waits for (a full queue
+/// blocks the enqueuer, which holds the writer lock). Every accepted
+/// gesture is still logged, at a small fraction of the syncs.
+TEST(ServerTest, NavigationOnlyStreamsNeverFillTheCommitQueue) {
+  const std::string name = "SrvNavOnly";
+  WipeDurable(name);
+  std::unique_ptr<Server> srv = OpenDurableMusic(name);
+  ASSERT_NE(srv, nullptr);
+  RetryingClient client(std::make_unique<LoopbackTransport>(srv.get(), "t"),
+                        RetryOptions());
+  ASSERT_TRUE(client.Connect().ok());
+  constexpr int kGestures = 5000;  // GroupCommitter's max_queue is 4096.
+  const char* const kLoop[] = {"pick class:musicians", "cmd view contents",
+                               "cmd pop"};
+  int accepted = 0;
+  for (int i = 0; i < kGestures; ++i) {
+    const std::string message = Gesture(client, kLoop[i % 3]);
+    ASSERT_FALSE(Rejected(message)) << message;
+    ++accepted;
+  }
+  srv->Shutdown();
+  StatsSnapshot s = srv->stats().Snapshot();
+  EXPECT_EQ(s.wal_records, accepted);
+  EXPECT_GE(s.unwaited_replies, accepted - accepted / 100);
+  EXPECT_LT(s.wal_syncs, accepted / 100) << "navigation still pays a sync";
+  WipeDurable(name);
+}
+
+/// The constraint-redefinition repro through a durable session: the failed
+/// redefinition answers its error and is not logged, so the live server
+/// must still hold the old constraint -- exactly what recovery rebuilds.
+TEST(ServerTest, FailedConstraintRedefinitionLeavesLiveEqualToRecovered) {
+  const std::string name = "SrvRedefine";
+  WipeDurable(name);
+  std::string live;
+  {
+    std::unique_ptr<Server> srv = OpenDurableMusic(name);
+    ASSERT_NE(srv, nullptr);
+    RetryingClient client(
+        std::make_unique<LoopbackTransport>(srv.get(), "t"), RetryOptions());
+    ASSERT_TRUE(client.Connect().ok());
+    std::string message;
+    for (const char* line : kRedefineConstraintScript) {
+      message = Gesture(client, line);
+    }
+    EXPECT_EQ(message.rfind("! TypeError", 0), 0u) << message;
+    EXPECT_EQ(srv->workspace().constraints().size(), 1u);
+    live = store::Save(srv->workspace());
+  }
+  std::unique_ptr<Server> srv = OpenDurableMusic(name);
+  ASSERT_NE(srv, nullptr);
+  EXPECT_EQ(srv->workspace().constraints().size(), 1u);
+  EXPECT_EQ(store::Save(srv->workspace()), live);
+  srv->Shutdown();
+  WipeDurable(name);
+}
+
+/// `save` in a shared session is refused like load/undo/redo: the server
+/// owns persistence, so a client can neither rename the shared workspace
+/// nor make the server write a file it names.
+TEST(ServerTest, SaveIsRefusedInSharedSessions) {
+  std::unique_ptr<Server> srv = OpenScaled(2);
+  RetryingClient client(std::make_unique<LoopbackTransport>(srv.get(), "t"),
+                        RetryOptions());
+  ASSERT_TRUE(client.Connect().ok());
+  const std::string name = srv->workspace().name();
+  const std::string escaped = "../isis_shared_save_probe";
+  store::FileEnv* env = store::FileEnv::Default();
+  (void)env->Remove(escaped + ".isis");
+  const std::string message = Gesture(client, "cmd save");
+  EXPECT_EQ(message.rfind("! Unimplemented", 0), 0u) << message;
+  EXPECT_TRUE(Rejected(Gesture(client, "type " + escaped)));
+  EXPECT_EQ(srv->workspace().name(), name);
+  EXPECT_FALSE(env->Exists(escaped + ".isis"));
+  (void)env->Remove(escaped + ".isis");
+  srv->Shutdown();
 }
 
 // --- TCP transport. ---

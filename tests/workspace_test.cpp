@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "datasets/instrumental_music.h"
 #include "query/workspace.h"
 #include "sdm/consistency.h"
@@ -247,6 +249,48 @@ TEST_F(WorkspaceTest, StoredCountsAndRestore) {
   Workspace fresh;
   fresh.RestoreSubclassPredicate(ClassId(42), Predicate{});
   EXPECT_EQ(fresh.StoredSubclassCount(), 1u);
+}
+
+/// save_version must move on every edit store::Save would record -- the
+/// schema edits that do not bump the data version included -- and stay
+/// put across reads.
+TEST_F(WorkspaceTest, SaveVersionMovesOnEveryDurableEdit) {
+  auto moved = [&](const std::function<void()>& edit) {
+    const std::uint64_t v0 = ws_->save_version();
+    edit();
+    return ws_->save_version() != v0;
+  };
+  EXPECT_FALSE(moved([&] {
+    (void)db_->Members(musicians_);
+    (void)db_->schema().AllAttributesOf(musicians_);
+    (void)ws_->CheckConstraints();
+  }));
+  ClassId sub;
+  AttributeId attr;
+  GroupingId g;
+  EXPECT_TRUE(moved([&] {
+    sub = *db_->CreateSubclass("virtuosi", musicians_, Membership::kEnumerated);
+  }));
+  EXPECT_TRUE(moved([&] {
+    attr = *db_->CreateAttribute(musicians_, "nickname", Schema::kStrings(),
+                                 /*multivalued=*/true);
+  }));
+  EXPECT_TRUE(moved([&] { ASSERT_TRUE(db_->RenameClass(sub, "stars").ok()); }));
+  EXPECT_TRUE(
+      moved([&] { ASSERT_TRUE(db_->RenameAttribute(attr, "alias").ok()); }));
+  EXPECT_TRUE(
+      moved([&] { g = *db_->CreateGrouping("by_kit", musicians_, plays_); }));
+  EXPECT_TRUE(
+      moved([&] { ASSERT_TRUE(db_->RenameGrouping(g, "by_axe").ok()); }));
+  EXPECT_TRUE(moved([&] { ASSERT_TRUE(db_->DeleteGrouping(g).ok()); }));
+  EXPECT_TRUE(moved([&] { ws_->set_name("renamed"); }));
+  Predicate big = SizeIs(4);
+  EXPECT_TRUE(moved([&] {
+    ASSERT_TRUE(ws_->DefineConstraint("big", music_groups_, big).ok());
+  }));
+  EXPECT_TRUE(moved([&] {
+    ASSERT_TRUE(db_->SetMulti(E(musicians_, "Ray"), plays_, {}).ok());
+  }));
 }
 
 }  // namespace
