@@ -20,9 +20,9 @@
 /// (result-cache counters), and `quit`.
 ///
 /// Ad-hoc queries go through a query::ResultCache: repeating a query
-/// between mutations answers from the cache (byte-identical results —
-/// entity ids are cached, names rendered fresh). Any mutation, undo or
-/// load flushes it.
+/// answers from the cache (byte-identical results — entity ids are cached,
+/// names rendered fresh) until a mutation touches a class or attribute the
+/// query reads. Undo, redo and load start a fresh cache.
 ///
 /// Run: ./isis_repl [--durable <dir>] [database.isis]
 ///   with no database argument the paper's Instrumental_Music database
@@ -55,22 +55,18 @@ void PrintScreen(ui::SessionController* session) {
   std::fputs(screen.canvas.ToString().c_str(), stdout);
 }
 
-/// The REPL's ad-hoc result cache. Non-observing (Options::observe): undo,
-/// redo and load replace the whole workspace, and an observing cache would
-/// hold a registration on the destroyed database. Instead the cache is
-/// recreated whenever the controller's database is a different *instance*
-/// (the id is globally unique, so a new database at a reused address cannot
-/// be mistaken for the old one), and within one instance any mutation
-/// bumps the version and flushes on the next lookup.
+/// The REPL's ad-hoc result cache. Undo, redo and load replace the whole
+/// workspace, so the cache is recreated whenever the controller's database
+/// is a different *instance* (the id is globally unique, so a new database
+/// at a reused address cannot be mistaken for the old one); within one
+/// instance the entries' read-set stamps keep every hit current.
 struct AdHocCache {
   std::unique_ptr<query::ResultCache> cache;
   std::uint64_t instance = 0;
 
   query::ResultCache* For(sdm::Database* db) {
     if (cache == nullptr || instance != db->instance_id()) {
-      query::ResultCache::Options opts;
-      opts.observe = false;
-      cache = std::make_unique<query::ResultCache>(db, opts);
+      cache = std::make_unique<query::ResultCache>(db);
       instance = db->instance_id();
     }
     return cache.get();
@@ -140,14 +136,12 @@ void PrintCacheStats(const AdHocCache& adhoc) {
   const query::ResultCache::Counters c = adhoc.cache->counters();
   std::printf(
       "result cache: %lld entr%s, %lld hit(s), %lld miss(es), "
-      "%lld insertion(s), %lld eviction(s), %lld invalidation(s), "
-      "%lld flush(es)\n",
+      "%lld insertion(s), %lld eviction(s), %lld invalidation(s)\n",
       static_cast<long long>(adhoc.cache->size()),
       adhoc.cache->size() == 1 ? "y" : "ies", static_cast<long long>(c.hits),
       static_cast<long long>(c.misses), static_cast<long long>(c.insertions),
       static_cast<long long>(c.evictions),
-      static_cast<long long>(c.invalidations),
-      static_cast<long long>(c.schema_flushes + c.version_flushes));
+      static_cast<long long>(c.invalidations));
 }
 
 void PrintHits(ui::SessionController* session) {

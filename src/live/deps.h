@@ -72,10 +72,11 @@ DepSet AnalyzeAdHoc(const sdm::Schema& schema, ClassId cls,
                     const query::Predicate& pred);
 
 /// Flattens a DepSet into the {classes, attrs} shape the query-result
-/// cache (query/cache.h) keys invalidation on: the union of every
-/// membership bucket and the union of every value bucket. Routing
-/// precision is irrelevant to the cache — any matching delta evicts the
-/// whole entry — so the buckets collapse.
+/// cache (query/cache.h) stamps its entries with
+/// (sdm::Database::ReadSetVersion over it): the union of every membership
+/// bucket and the union of every value bucket. Routing precision is
+/// irrelevant to the cache — any change in the set stales the whole entry
+/// — so the buckets collapse.
 query::ResultCache::Deps FlattenForCache(const DepSet& deps);
 
 }  // namespace isis::live

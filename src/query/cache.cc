@@ -97,82 +97,32 @@ std::string ResultCache::NormalizeKey(const Predicate& pred, ClassId v) {
   return out;
 }
 
-ResultCache::ResultCache(sdm::Database* db, Options options)
-    : db_(db), options_(options) {
-  {
-    MutexLock lock(mu_);
-    synced_version_ = db_->version();
-  }
-  if (options_.observe) db_->AddObserver(this);
-}
-
-ResultCache::~ResultCache() {
-  // Non-observing caches must not touch db_ here: they are allowed to
-  // outlive it (Options::observe).
-  if (options_.observe) db_->RemoveObserver(this);
-}
-
-void ResultCache::SyncLocked() {
-  const std::uint64_t v = db_->version();
-  if (v == synced_version_) return;
-  // The database moved without a settle we processed: an intern or restore
-  // grew the entity universe behind the observer stream's back. Nothing
-  // says which entries that can affect, so drop them all.
-  if (!entries_.empty()) ++counters_.version_flushes;
-  FlushLocked();
-  synced_version_ = v;
-}
-
-void ResultCache::FlushLocked() {
-  lru_.clear();
-  by_class_.clear();
-  by_attr_.clear();
-  entries_.clear();
-}
-
-void ResultCache::EraseLocked(Entry* e) {
-  lru_.erase(e->lru_it);
-  for (std::int64_t c : e->deps.classes) {
-    auto it = by_class_.find(c);
-    if (it != by_class_.end()) {
-      it->second.erase(e);
-      if (it->second.empty()) by_class_.erase(it);
-    }
-  }
-  for (std::int64_t a : e->deps.attrs) {
-    auto it = by_attr_.find(a);
-    if (it != by_attr_.end()) {
-      it->second.erase(e);
-      if (it->second.empty()) by_attr_.erase(it);
-    }
-  }
-  entries_.erase(e->key);  // frees e
-}
-
-void ResultCache::TouchLocked(Entry* e) {
-  lru_.erase(e->lru_it);
-  lru_.push_front(e);
-  e->lru_it = lru_.begin();
-}
+ResultCache::ResultCache(const sdm::Database* db, Options options)
+    : db_(db), options_(options) {}
 
 std::shared_ptr<const sdm::EntitySet> ResultCache::Lookup(
     const std::string& key) {
   MutexLock lock(mu_);
-  SyncLocked();
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
+  auto it = index_.find(key);
+  if (it != index_.end() && !Fresh(*it->second)) {
+    ++counters_.invalidations;
+    lru_.erase(it->second);
+    index_.erase(it);
+    it = index_.end();
+  }
+  if (it == index_.end()) {
     ++counters_.misses;
     return nullptr;
   }
   ++counters_.hits;
-  TouchLocked(it->second.get());
+  lru_.splice(lru_.begin(), lru_, it->second);
   return it->second->result;
 }
 
-bool ResultCache::Peek(const std::string& key) {
+bool ResultCache::Peek(const std::string& key) const {
   MutexLock lock(mu_);
-  SyncLocked();
-  return entries_.count(key) > 0;
+  auto it = index_.find(key);
+  return it != index_.end() && Fresh(*it->second);
 }
 
 void ResultCache::Insert(const std::string& key, const Deps& deps,
@@ -180,26 +130,19 @@ void ResultCache::Insert(const std::string& key, const Deps& deps,
                          std::uint64_t computed_at) {
   MutexLock lock(mu_);
   if (computed_at != db_->version()) return;  // moved mid-evaluation
-  SyncLocked();
-  if (entries_.count(key) > 0) return;  // a concurrent reader won the race
-  while (static_cast<std::int64_t>(entries_.size()) >=
-             static_cast<std::int64_t>(options_.capacity) &&
-         !lru_.empty()) {
-    ++counters_.evictions;
-    EraseLocked(lru_.back());
-  }
   if (options_.capacity <= 0) return;
-  auto entry = std::make_unique<Entry>();
-  Entry* e = entry.get();
-  e->key = key;
-  e->result = std::move(result);
-  e->version = computed_at;
-  e->deps = deps;
-  lru_.push_front(e);
-  e->lru_it = lru_.begin();
-  for (std::int64_t c : e->deps.classes) by_class_[c].insert(e);
-  for (std::int64_t a : e->deps.attrs) by_attr_[a].insert(e);
-  entries_.emplace(key, std::move(entry));
+  if (index_.count(key) > 0) return;  // a concurrent reader won the race
+  while (static_cast<std::int64_t>(lru_.size()) >= options_.capacity) {
+    ++counters_.evictions;
+    index_.erase(lru_.back().key);
+    lru_.pop_back();
+  }
+  // No change counter moved since `computed_at` either (each bump comes
+  // with a version advance, and nobody inserts mid-mutation), so the stamp
+  // taken now is the one the result reflects.
+  lru_.push_front(Entry{key, std::move(result), deps,
+                        db_->ReadSetVersion(deps.classes, deps.attrs)});
+  index_.emplace(key, lru_.begin());
   ++counters_.insertions;
 }
 
@@ -210,61 +153,7 @@ ResultCache::Counters ResultCache::counters() const {
 
 std::int64_t ResultCache::size() const {
   MutexLock lock(mu_);
-  return static_cast<std::int64_t>(entries_.size());
-}
-
-void ResultCache::OnMembership(EntityId e, ClassId cls, bool added) {
-  (void)e;
-  (void)added;
-  MutexLock lock(mu_);
-  pending_classes_.insert(cls.value());
-}
-
-void ResultCache::OnAttributeValue(EntityId e, AttributeId attr,
-                                   const sdm::EntitySet& before,
-                                   const sdm::EntitySet& after) {
-  (void)e;
-  (void)before;
-  (void)after;
-  MutexLock lock(mu_);
-  pending_attrs_.insert(attr.value());
-}
-
-void ResultCache::OnSchemaChange() {
-  MutexLock lock(mu_);
-  pending_schema_ = true;
-}
-
-void ResultCache::OnMutationsSettled() {
-  MutexLock lock(mu_);
-  if (pending_schema_) {
-    if (!entries_.empty()) ++counters_.schema_flushes;
-    FlushLocked();
-  } else {
-    // Evict exactly the entries whose read set intersects the touched ids.
-    // Victims are collected first: EraseLocked edits the very sets being
-    // walked.
-    std::set<Entry*> victims;
-    for (std::int64_t c : pending_classes_) {
-      auto it = by_class_.find(c);
-      if (it != by_class_.end()) victims.insert(it->second.begin(),
-                                                it->second.end());
-    }
-    for (std::int64_t a : pending_attrs_) {
-      auto it = by_attr_.find(a);
-      if (it != by_attr_.end()) victims.insert(it->second.begin(),
-                                               it->second.end());
-    }
-    for (Entry* e : victims) {
-      ++counters_.invalidations;
-      EraseLocked(e);
-    }
-  }
-  pending_classes_.clear();
-  pending_attrs_.clear();
-  pending_schema_ = false;
-  // The settle explains everything up to the current version.
-  synced_version_ = db_->version();
+  return static_cast<std::int64_t>(lru_.size());
 }
 
 }  // namespace isis::query

@@ -1,10 +1,10 @@
 /// \file cache.h
-/// \brief Delta-invalidated query-result cache for the read path.
+/// \brief Read-set-stamped query-result cache for the read path.
 ///
 /// ISIS sessions re-issue the same or overlapping predicates constantly
 /// (interactive browsing is repetitive by nature), so the server keeps a
 /// small LRU map from *normalized predicate* to the result id-set it
-/// evaluated to. Three mechanisms keep a hit exactly as correct as a fresh
+/// evaluated to. Two mechanisms keep a hit exactly as correct as a fresh
 /// evaluation:
 ///
 ///   1. Normalization. The key renders each placed atom by ids (operand
@@ -16,33 +16,29 @@
 ///      evaluate identically therefore share one entry, and renames cannot
 ///      stale a key because names never enter it.
 ///
-///   2. Selective invalidation. The cache registers as a MutationObserver.
-///      Each entry carries the flattened read set of its predicate
-///      (live/deps.h dependency analysis: the classes whose membership and
-///      the attributes whose values the query can read). Deltas collected
-///      during a mutation batch evict, at OnMutationsSettled, only the
-///      entries whose read set intersects the touched ids; a schema-level
-///      change (deletion, value-class switch, extra parent) flushes
-///      everything. The analysis over-approximates, so eviction is only
-///      ever too eager, never too lazy.
+///   2. Read-set stamps. Each entry carries the flattened read set of its
+///      predicate (live/deps.h dependency analysis: the classes whose
+///      membership and the attributes whose values the query can read) and
+///      sdm::Database::ReadSetVersion() over that set at insert time.
+///      Lookup recomputes the stamp: a mismatch means something the query
+///      reads has changed, and the entry is dropped as a miss. A touched
+///      class or attribute stales only the entries that read it; a
+///      schema-level change (deletion, value-class switch, extra parent)
+///      stales every entry; interning stales only the entries that read
+///      its predefined class. The analysis over-approximates, so
+///      invalidation is only ever too eager, never too lazy. Insert also
+///      refuses a result whose version() stamp the database has moved past
+///      (it may reflect a half-applied change). Results are stored as
+///      shared_ptr id-sets and formatted at hit time, so concurrent readers
+///      share one copy and eviction never invalidates a reader mid-format.
 ///
-///   3. Version stamps. sdm::Database::version() advances once per mutation
-///      batch and once per entity interned or restored outside a mutator.
-///      The cache tracks the last version it reconciled to; finding the
-///      database at any other version at lookup/insert time means a change
-///      happened that produced no settle notification (interning grows a
-///      predefined class extent silently), and the cache flushes wholesale
-///      rather than guess. Results are stored as shared_ptr id-sets and
-///      formatted at hit time, so concurrent readers share one copy and
-///      eviction never invalidates a reader mid-format.
-///
-/// Thread-safety: every public method and observer callback locks the
-/// cache's own small mutex; hits copy a shared_ptr under it, so the
-/// critical section is a hash probe plus a list splice. Observer callbacks
-/// only run during the owner's exclusive phase, but the cache does not rely
-/// on that — it is safe under any interleaving the database itself allows.
-/// The cache registers itself with the database on construction and
-/// removes itself on destruction; it must not outlive the database.
+/// Thread-safety: every public method locks the cache's own small mutex;
+/// hits copy a shared_ptr under it, so the critical section is a hash
+/// probe, the stamp sum and a list splice. The stamp reads the database's
+/// change counters, so calls must not race a mutation (the server calls
+/// only under its shared lock); mutations never call the cache. The cache
+/// does not register with the database: it may outlive it, but must not be
+/// called after it is gone.
 
 #ifndef ISIS_QUERY_CACHE_H_
 #define ISIS_QUERY_CACHE_H_
@@ -50,7 +46,6 @@
 #include <cstdint>
 #include <list>
 #include <memory>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -62,18 +57,10 @@
 
 namespace isis::query {
 
-class ResultCache : public sdm::MutationObserver {
+class ResultCache {
  public:
   struct Options {
     int capacity = 1024;  ///< Entry bound; beyond it the LRU tail is evicted.
-    /// Register as a mutation observer for *selective* invalidation (the
-    /// normal mode). false skips registration -- the destructor then never
-    /// touches the database, so the cache may safely outlive it, at the
-    /// cost of invalidation degrading to a full flush on any version
-    /// advance (SyncLocked's unexplained-bump rule fires for every
-    /// mutation). For single-threaded tooling like the REPL, whose
-    /// database can be replaced wholesale by undo/redo/load.
-    bool observe = true;
   };
 
   /// Flattened read set of one cached query, as produced by
@@ -87,16 +74,19 @@ class ResultCache : public sdm::MutationObserver {
     std::int64_t hits = 0;
     std::int64_t misses = 0;
     std::int64_t insertions = 0;
-    std::int64_t evictions = 0;       ///< Capacity (LRU) evictions.
-    std::int64_t invalidations = 0;   ///< Entries evicted by matching deltas.
-    std::int64_t schema_flushes = 0;  ///< Full flushes on schema change.
-    std::int64_t version_flushes = 0; ///< Full flushes on unexplained bumps.
+    std::int64_t evictions = 0;      ///< Capacity (LRU) evictions.
+    std::int64_t invalidations = 0;  ///< Stale entries Lookup dropped.
+    /// Always 0: a schema change stales entries like any other change and
+    /// is counted in `invalidations`. Kept for the stats that report it.
+    std::int64_t schema_flushes = 0;
+    /// Always 0: no version advance flushes the cache. Kept for the stats
+    /// that report it.
+    std::int64_t version_flushes = 0;
   };
 
-  /// Registers with `db` as a mutation observer. `db` must outlive this.
-  ResultCache(sdm::Database* db, Options options);
-  explicit ResultCache(sdm::Database* db) : ResultCache(db, Options()) {}
-  ~ResultCache() override;
+  /// Stamps entries against `db`, which must outlive every call.
+  ResultCache(const sdm::Database* db, Options options);
+  explicit ResultCache(const sdm::Database* db) : ResultCache(db, Options()) {}
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
@@ -105,14 +95,15 @@ class ResultCache : public sdm::MutationObserver {
   /// the predicate structure and ids; see the file comment, rule 1.
   static std::string NormalizeKey(const Predicate& pred, ClassId v);
 
-  /// Version-current result for `key`, or nullptr. Counts a hit or a miss
-  /// and refreshes the entry's LRU position.
+  /// Current result for `key`, or nullptr. Counts a hit or a miss,
+  /// refreshes the entry's LRU position, and drops a stale entry (counted
+  /// as an invalidation and a miss).
   std::shared_ptr<const sdm::EntitySet> Lookup(const std::string& key)
       ISIS_EXCLUDES(mu_);
 
-  /// Like Lookup but counts nothing and keeps the LRU order — for `explain`
-  /// to report hit/miss without skewing the stats.
-  bool Peek(const std::string& key) ISIS_EXCLUDES(mu_);
+  /// Whether Lookup would hit, changing nothing (no counts, LRU order or
+  /// drops) -- for `explain` to report hit/miss without skewing the stats.
+  bool Peek(const std::string& key) const ISIS_EXCLUDES(mu_);
 
   /// Publishes a result evaluated while the database was at version
   /// `computed_at`. A no-op if the database has moved since (the result may
@@ -125,50 +116,26 @@ class ResultCache : public sdm::MutationObserver {
   Counters counters() const ISIS_EXCLUDES(mu_);
   std::int64_t size() const ISIS_EXCLUDES(mu_);
 
-  // --- sdm::MutationObserver (record now, evict at settle). ---
-  void OnMembership(EntityId e, ClassId cls, bool added) override
-      ISIS_EXCLUDES(mu_);
-  void OnAttributeValue(EntityId e, AttributeId attr,
-                        const sdm::EntitySet& before,
-                        const sdm::EntitySet& after) override
-      ISIS_EXCLUDES(mu_);
-  void OnSchemaChange() override ISIS_EXCLUDES(mu_);
-  void OnMutationsSettled() override ISIS_EXCLUDES(mu_);
-
  private:
   struct Entry {
     std::string key;
     std::shared_ptr<const sdm::EntitySet> result;
-    std::uint64_t version = 0;  ///< Database version the result reflects.
     Deps deps;
-    std::list<Entry*>::iterator lru_it;
+    std::uint64_t stamp = 0;  ///< ReadSetVersion(deps) the result reflects.
   };
+  using Lru = std::list<Entry>;  ///< Front = most recent.
 
-  /// Reconciles to the database's current version: any advance the settle
-  /// protocol did not explain flushes everything (file comment, rule 3).
-  void SyncLocked() ISIS_REQUIRES(mu_);
-  void FlushLocked() ISIS_REQUIRES(mu_);
-  /// Unlinks `e` from the LRU list and both dep indexes, then frees it.
-  void EraseLocked(Entry* e) ISIS_REQUIRES(mu_);
-  void TouchLocked(Entry* e) ISIS_REQUIRES(mu_);
+  /// True while nothing `e` read has changed (file comment, rule 2).
+  bool Fresh(const Entry& e) const {
+    return db_->ReadSetVersion(e.deps.classes, e.deps.attrs) == e.stamp;
+  }
 
-  sdm::Database* const db_;
+  const sdm::Database* const db_;
   const Options options_;
 
   mutable Mutex mu_;
-  std::unordered_map<std::string, std::unique_ptr<Entry>> entries_
-      ISIS_GUARDED_BY(mu_);
-  std::list<Entry*> lru_ ISIS_GUARDED_BY(mu_);  ///< Front = most recent.
-  /// Inverted dep indexes: touched id -> entries to evict.
-  std::unordered_map<std::int64_t, std::set<Entry*>> by_class_
-      ISIS_GUARDED_BY(mu_);
-  std::unordered_map<std::int64_t, std::set<Entry*>> by_attr_
-      ISIS_GUARDED_BY(mu_);
-  /// Deltas recorded since the last settle.
-  std::set<std::int64_t> pending_classes_ ISIS_GUARDED_BY(mu_);
-  std::set<std::int64_t> pending_attrs_ ISIS_GUARDED_BY(mu_);
-  bool pending_schema_ ISIS_GUARDED_BY(mu_) = false;
-  std::uint64_t synced_version_ ISIS_GUARDED_BY(mu_) = 0;
+  Lru lru_ ISIS_GUARDED_BY(mu_);
+  std::unordered_map<std::string, Lru::iterator> index_ ISIS_GUARDED_BY(mu_);
   Counters counters_ ISIS_GUARDED_BY(mu_);
 };
 

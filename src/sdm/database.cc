@@ -18,6 +18,13 @@ thread_local std::int64_t tls_intern_misses = 0;
 
 /// Source of instance_id(); starts at 1 so 0 means "no database".
 std::atomic<std::uint64_t> next_db_instance{1};
+
+/// One change of class or attribute `id` (see ReadSetVersion).
+void BumpChanges(std::vector<std::uint64_t>* counts, std::int64_t id) {
+  const auto slot = static_cast<std::size_t>(id);
+  if (slot >= counts->size()) counts->resize(slot + 1);
+  ++(*counts)[slot];
+}
 }  // namespace
 
 std::int64_t Database::InternMissCount() { return tls_intern_misses; }
@@ -252,9 +259,9 @@ Result<EntityId> Database::InternValue(const Value& v) const {
   entities_.push_back(std::move(e));
   entity_live_.push_back(true);
   // Interning grows a predefined class extent without firing observers, so
-  // the data version must advance here: consumers that stamp results by
-  // version (the query-result cache) see the bump and discard rather than
-  // serve answers from before the new entity existed.
+  // both stamps must advance here: a result stamped before the new entity
+  // existed must not be served after it.
+  BumpChanges(&class_changes_, base.value());
   version_.fetch_add(1, std::memory_order_acq_rel);
   return entities_.back().id;
 }
@@ -336,11 +343,21 @@ Status Database::RenameEntity(EntityId e, const std::string& new_name) {
   if (names.count(new_name) > 0) {
     return Status::AlreadyExists("entity '" + new_name + "' already exists");
   }
-  std::string old_name = ent.name;
+  const ClassId base = ent.baseclass;
+  const std::string old_name = ent.name;
   names.erase(ent.name);
   ent.name = new_name;
   names[new_name] = e;
-  NotifyRename(e, ent.baseclass, old_name, new_name);
+  // A rename is a change of the naming attribute's (virtual) value, and
+  // reaches groupings, observers and its change count like any other. (No
+  // `ent` past this point: interning may reallocate entities_.)
+  for (AttributeId a : schema_.GetClass(base).own_attributes) {
+    if (!schema_.GetAttribute(a).naming) continue;
+    const EntitySet before{InternString(old_name)};
+    const EntitySet after{InternString(new_name)};
+    OnAttributeValueChange(e, a, before, after);
+    break;
+  }
   return Status::OK();
 }
 
@@ -907,6 +924,7 @@ void Database::OnAttributeValueChange(EntityId e, AttributeId attr,
                                       const EntitySet& before,
                                       const EntitySet& after) {
   if (before == after) return;
+  BumpChanges(&attr_changes_, attr.value());
   // Observer fan-out stays outside lazy_mu_: observers (live views, the
   // server's delta collector) may re-enter the database's read surface.
   for (MutationObserver* o : observers_) {
@@ -927,6 +945,7 @@ void Database::OnAttributeValueChange(EntityId e, AttributeId attr,
 }
 
 void Database::OnMembershipChange(EntityId e, ClassId cls, bool added) {
+  BumpChanges(&class_changes_, cls.value());
   for (MutationObserver* o : observers_) {
     o->OnMembership(e, cls, added);
   }
@@ -963,6 +982,7 @@ void Database::RemoveObserver(MutationObserver* observer) {
 }
 
 void Database::NotifySchemaChange() {
+  ++schema_changes_;
   for (MutationObserver* o : observers_) o->OnSchemaChange();
 }
 
@@ -970,20 +990,17 @@ void Database::NotifySettled() {
   for (MutationObserver* o : observers_) o->OnMutationsSettled();
 }
 
-void Database::NotifyRename(EntityId e, ClassId base,
-                            const std::string& old_name,
-                            const std::string& new_name) {
-  if (observers_.empty()) return;
-  // A rename is a change of the naming attribute's (virtual) value.
-  for (AttributeId a : schema_.GetClass(base).own_attributes) {
-    if (!schema_.GetAttribute(a).naming) continue;
-    EntitySet before{InternString(old_name)};
-    EntitySet after{InternString(new_name)};
-    for (MutationObserver* o : observers_) {
-      o->OnAttributeValue(e, a, before, after);
-    }
-    return;
-  }
+std::uint64_t Database::ReadSetVersion(
+    std::span<const std::int64_t> classes,
+    std::span<const std::int64_t> attrs) const {
+  auto count = [](const std::vector<std::uint64_t>& counts, std::int64_t id) {
+    const auto slot = static_cast<std::size_t>(id);
+    return id >= 0 && slot < counts.size() ? counts[slot] : std::uint64_t{0};
+  };
+  std::uint64_t sum = schema_changes_;
+  for (std::int64_t c : classes) sum += count(class_changes_, c);
+  for (std::int64_t a : attrs) sum += count(attr_changes_, a);
+  return sum;
 }
 
 void Database::MarkGroupingsDirtyOn(AttributeId attr) {

@@ -275,8 +275,8 @@ class Database {
   // fresh through the same mutation hooks that maintain groupings.
 
   /// True if `attr` can be served by the value index. Naming attributes are
-  /// not indexable: their values are computed from entity names, and renames
-  /// bypass the value-change hooks.
+  /// not indexable: their values are computed from entity names, not stored
+  /// in value rows.
   bool ValueIndexable(AttributeId attr) const;
 
   /// Owners of `value` through `attr` (empty for unindexable attributes or
@@ -355,6 +355,10 @@ class Database {
   //     happen under the exclusive lock.
   //  3. Stats counters bumped on read paths are updated under `lazy_mu_`;
   //     counters bumped on mutation paths need no lock (exclusive phase).
+  //  4. The change counters behind ReadSetVersion() are plain integers.
+  //     Mutators bump them under the exclusive lock, and InternValue bumps
+  //     its predefined class's only after the frozen check (so never in a
+  //     shared phase); shared-phase readers only read them.
   //
   // Everything else reachable from const methods (schema, entities, member
   // sets, value rows) is only mutated by exclusive-phase mutators, so the
@@ -378,14 +382,25 @@ class Database {
   /// Monotonic data-version stamp. Bumped once when the outermost mutating
   /// call returns (one bump per mutation batch, before OnMutationsSettled
   /// fires, so observers read the post-batch version), and once per entity
-  /// interned or restored outside a mutator (interning bypasses the observer
-  /// stream; version-stamp consumers such as the query-result cache treat an
-  /// unexplained bump as "flush everything"). Equal versions imply equal
+  /// interned or restored outside a mutator. Equal versions imply equal
   /// query answers; the converse does not hold. Atomic so shared-phase
-  /// readers can stamp results without any lock.
+  /// readers can stamp results without any lock. ReadSetVersion() is the
+  /// finer stamp, for results that depend on only part of the database.
   std::uint64_t version() const {
     return version_.load(std::memory_order_acquire);
   }
+
+  /// Change stamp of a read set: the schema's change count plus the change
+  /// counts of `classes` (membership) and `attrs` (values), by raw id. They
+  /// move where observers hear a change -- a class count when an entity
+  /// enters or leaves the class, an attribute count when a value set
+  /// changes (a rename changes the naming attribute), the schema count on
+  /// every OnSchemaChange -- and a predefined class's count on interning.
+  /// Counts only grow, so an unchanged stamp means nothing the set names
+  /// has changed. Restore* moves no count: a loader fills a database no
+  /// reader has seen.
+  std::uint64_t ReadSetVersion(std::span<const std::int64_t> classes,
+                               std::span<const std::int64_t> attrs) const;
 
   /// Process-unique id of this instance, assigned at construction from a
   /// monotone counter. Per-thread caches keyed by database identity use
@@ -434,15 +449,13 @@ class Database {
   void ScrubReferences(EntityId e, const std::vector<ClassId>& classes);
   void ScrubAllReferences(EntityId e);
 
-  /// Grouping maintenance hooks (also the observer fan-out sites).
+  /// Grouping maintenance hooks (also the observer fan-out sites and the
+  /// ReadSetVersion() counter bumps).
   void OnAttributeValueChange(EntityId e, AttributeId attr,
                               const EntitySet& before, const EntitySet& after);
   void OnMembershipChange(EntityId e, ClassId cls, bool added);
   void NotifySchemaChange();
   void NotifySettled();
-  /// Surfaces an entity rename as a naming-attribute value delta.
-  void NotifyRename(EntityId e, ClassId base, const std::string& old_name,
-                    const std::string& new_name);
   void MarkGroupingsDirtyOn(AttributeId attr) ISIS_REQUIRES(lazy_mu_);
   /// Lazily (re)builds `attr`'s value index; nullptr when unindexable.
   ValueIndex* EnsureValueIndexLocked(AttributeId attr) const
@@ -503,6 +516,12 @@ class Database {
   /// See version(). Mutable: interning is a logically-const read that still
   /// has to advance the stamp (it grows the entity universe).
   mutable std::atomic<std::uint64_t> version_{0};
+  /// The counts ReadSetVersion() sums, indexed by id (ids are never reused,
+  /// so a deleted class or attribute keeps its count). Plain integers under
+  /// the "Concurrency" rule 4; mutable for InternValue.
+  mutable std::vector<std::uint64_t> class_changes_;
+  std::vector<std::uint64_t> attr_changes_;
+  std::uint64_t schema_changes_ = 0;
   static const EntitySet kEmptySet;
 };
 

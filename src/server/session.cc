@@ -115,7 +115,7 @@ Result<std::unique_ptr<Server>> Server::Open(
         std::make_unique<store::GroupCommitter>(server->wal_.get(), gc);
     server->max_unwaited_ = gc.max_batch;
   }
-  if (server->ws_->db().options().live_views) {
+  if (server->live_ == nullptr && server->ws_->db().options().live_views) {
     server->live_ = std::make_unique<live::LiveViewEngine>(server->ws_.get());
   }
   server->deltas_.Attach(&server->ws_->db());
@@ -165,7 +165,11 @@ Status Server::InitDurable() {
     ws_ = std::move(loaded).ValueOrDie();
     // Replay through the same dispatch path that produced the log, one
     // replay controller per original session (their prompt state machines
-    // are independent).
+    // are independent), and with the engine the live server maintained
+    // derived views with.
+    if (ws_->db().options().live_views) {
+      live_ = std::make_unique<live::LiveViewEngine>(ws_.get());
+    }
     std::map<std::int64_t, std::unique_ptr<ui::SessionController>> ctrls;
     for (std::size_t i = 1; i < records.size(); ++i) {
       ISIS_RETURN_NOT_OK(ReplayRecord(records[i], &ctrls));
@@ -202,14 +206,14 @@ Status Server::ReplayRecord(
     ISIS_RETURN_NOT_OK(ev.status());
     std::unique_ptr<ui::SessionController>& ctrl = (*ctrls)[sid];
     if (ctrl == nullptr) {
-      ctrl = std::make_unique<ui::SessionController>(ws_.get(), nullptr);
+      ctrl = std::make_unique<ui::SessionController>(ws_.get(), live_.get());
     }
     return ctrl->HandleEvent(*ev);
   }
   if (rec.type == "assign") {
-    Status st = ApplyAssign(SplitFields(rec.payload));
-    if (!st.ok()) return st;
-    return ws_->ReevaluateAll();
+    ISIS_RETURN_NOT_OK(ApplyAssign(SplitFields(rec.payload)));
+    // DoAssign's rule: without an engine, refresh derived views by hand.
+    return live_ == nullptr ? ws_->ReevaluateAll() : Status::OK();
   }
   if (rec.type == "note") return Status::OK();  // Journal only.
   return Status::ParseError("unknown server WAL record type: " + rec.type);

@@ -98,9 +98,10 @@ struct ServerOptions {
   int threads = 4;
   int queue_capacity = 64;  ///< Per-session queued-request bound.
   /// Query-result cache over the shared database (query/cache.h): kQuery
-  /// answers are memoized by normalized predicate and invalidated from the
-  /// mutation delta stream. Results are identical either way (property-
-  /// tested in result_cache_test.cpp); off is only for A/B benching.
+  /// answers are memoized by normalized predicate and dropped once a write
+  /// has changed what they read. Results are identical either way
+  /// (property-tested in result_cache_test.cpp); off is only for A/B
+  /// benching.
   bool result_cache = true;
   int result_cache_capacity = 1024;
   /// Non-empty: run durable -- WAL in this directory (must exist), recovery
@@ -310,8 +311,8 @@ class Server {
   const ServerOptions options_;
   std::unique_ptr<query::Workspace> ws_;
   std::unique_ptr<live::LiveViewEngine> live_;  ///< Iff db options.live_views.
-  /// Declared after ws_ so it is destroyed first (its destructor
-  /// deregisters from the database). Null when options_.result_cache is off.
+  /// Stamps its entries against ws_'s database; never registers with it.
+  /// Null when options_.result_cache is off.
   std::unique_ptr<query::ResultCache> cache_;
   DeltaCollector deltas_;
   ServerStats stats_;

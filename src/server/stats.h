@@ -56,8 +56,8 @@ struct StatsSnapshot {
   std::int64_t cache_hits = 0;          ///< Reads answered from the cache.
   std::int64_t cache_misses = 0;        ///< Reads that had to evaluate.
   std::int64_t cache_evictions = 0;     ///< Entries dropped by the LRU bound.
-  std::int64_t cache_invalidations = 0; ///< Entries evicted by deltas.
-  std::int64_t cache_flushes = 0;       ///< Full flushes (schema + version).
+  std::int64_t cache_invalidations = 0; ///< Stale entries lookups dropped.
+  std::int64_t cache_flushes = 0;       ///< Always 0: the cache never flushes.
   // Group commit (store/group_commit.h), fed through its batch observer.
   std::int64_t wal_batches = 0;    ///< Leader drains (write groups formed).
   std::int64_t wal_records = 0;    ///< WAL records committed.

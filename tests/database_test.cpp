@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "sdm/consistency.h"
 #include "sdm/database.h"
 
@@ -288,6 +293,128 @@ TEST_F(DatabaseTest, RestoreApiRoundTripsAnEntity) {
   EXPECT_FALSE(db_.HasEntity(EntityId(99)));  // gap slot is dead
   // Colliding id refuses.
   EXPECT_TRUE(db_.RestoreEntity(ghost).IsParseError());
+}
+
+/// ReadSetVersion() is what keeps cached query results current
+/// (query/cache.h): every public mutator must move it over the classes and
+/// attributes it changed and, unless it is a schema-level change (which
+/// moves every read set), over nothing else. A new mutator joins the table.
+TEST(ReadSetVersionTest, EveryMutatorMovesExactlyWhatItTouched) {
+  Database::Options options;
+  options.schema.allow_multiple_parents = true;
+  Database db(options);
+  const ClassId people = *db.CreateBaseclass("people", "name");
+  const ClassId cities = *db.CreateBaseclass("cities", "name");
+  const AttributeId name = db.schema().GetClass(people).own_attributes[0];
+  const AttributeId lives_in =
+      *db.CreateAttribute(people, "lives_in", cities, false);
+  const AttributeId visited =
+      *db.CreateAttribute(people, "visited", cities, true);
+  const AttributeId age =
+      *db.CreateAttribute(people, "age", Schema::kIntegers(), false);
+  const ClassId adults =
+      *db.CreateSubclass("adults", people, Membership::kEnumerated);
+  const ClassId voters =
+      *db.CreateSubclass("voters", adults, Membership::kEnumerated);
+  const ClassId residents =
+      *db.CreateSubclass("residents", people, Membership::kEnumerated);
+  const ClassId minors =
+      *db.CreateSubclass("minors", people, Membership::kDerived);
+  const ClassId capitals =
+      *db.CreateSubclass("capitals", cities, Membership::kEnumerated);
+  const EntityId alice = *db.CreateEntity(people, "alice");
+  const EntityId bob = *db.CreateEntity(people, "bob");
+  const EntityId rome = *db.CreateEntity(cities, "rome");
+  const EntityId oslo = *db.CreateEntity(cities, "oslo");
+  ASSERT_TRUE(db.AddToClass(rome, capitals).ok());
+  // Read by no data mutator below.
+  const ClassId planets = *db.CreateBaseclass("planets", "name");
+  const AttributeId moons =
+      *db.CreateAttribute(planets, "moons", Schema::kIntegers(), false);
+  const std::vector<std::int64_t> untouched_classes = {planets.value()};
+  const std::vector<std::int64_t> untouched_attrs = {moons.value()};
+
+  struct Case {
+    std::string mutator;
+    std::function<Status()> mutate;
+    std::vector<std::int64_t> classes;  ///< Membership it changes.
+    std::vector<std::int64_t> attrs;    ///< Values it changes.
+    bool schema = false;                ///< Moves every read set.
+  };
+  const std::vector<Case> cases = {
+      {"AddToClass", [&] { return db.AddToClass(alice, voters); },
+       {adults.value(), voters.value()}, {}},
+      {"RemoveFromClass", [&] { return db.RemoveFromClass(alice, adults); },
+       {adults.value(), voters.value()}, {}},
+      {"AddToDerivedClass",
+       [&] { return db.AddToDerivedClass(alice, minors); },
+       {minors.value()}, {}},
+      {"SetDerivedMembers", [&] { return db.SetDerivedMembers(minors, {bob}); },
+       {minors.value()}, {}},
+      {"SetSingle", [&] { return db.SetSingle(alice, lives_in, rome); }, {},
+       {lives_in.value()}},
+      {"AddToMulti", [&] { return db.AddToMulti(alice, visited, rome); }, {},
+       {visited.value()}},
+      {"RemoveFromMulti",
+       [&] { return db.RemoveFromMulti(alice, visited, rome); }, {},
+       {visited.value()}},
+      {"SetMulti", [&] { return db.SetMulti(bob, visited, {rome, oslo}); },
+       {}, {visited.value()}},
+      {"CreateEntity",
+       [&] { return db.CreateEntity(people, "carol").status(); },
+       {people.value()}, {}},
+      {"RenameEntity", [&] { return db.RenameEntity(alice, "alina"); }, {},
+       {name.value()}},
+      {"SetSingle on the naming attribute",
+       [&] { return db.SetSingle(bob, name, db.InternString("robert")); },
+       {}, {name.value()}},
+      {"DeleteEntity", [&] { return db.DeleteEntity(oslo); },
+       {cities.value()}, {visited.value()}},
+      {"InternValue",
+       [&] { return db.InternValue(Value::Integer(424242)).status(); },
+       {Schema::kIntegers().value()}, {}},
+      {"SetValueClass", [&] { return db.SetValueClass(lives_in, capitals); },
+       {}, {lives_in.value()}, true},
+      {"AddParent", [&] { return db.AddParent(voters, residents); }, {}, {},
+       true},
+      {"SetMembership",
+       [&] { return db.SetMembership(minors, Membership::kEnumerated); }, {},
+       {}, true},
+      {"DeleteAttribute", [&] { return db.DeleteAttribute(age); }, {},
+       {age.value()}, true},
+      {"DeleteClass", [&] { return db.DeleteClass(voters); },
+       {voters.value()}, {}, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.mutator);
+    const std::uint64_t touched = db.ReadSetVersion(c.classes, c.attrs);
+    const std::uint64_t untouched =
+        db.ReadSetVersion(untouched_classes, untouched_attrs);
+    Status st = c.mutate();
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_GT(db.ReadSetVersion(c.classes, c.attrs), touched);
+    EXPECT_EQ(db.ReadSetVersion(untouched_classes, untouched_attrs) !=
+                  untouched,
+              c.schema);
+  }
+}
+
+TEST(ReadSetVersionTest, NoOpMutationsAndReadsMoveNothing) {
+  Database db;
+  const ClassId people = *db.CreateBaseclass("people", "name");
+  const AttributeId age =
+      *db.CreateAttribute(people, "age", Schema::kIntegers(), false);
+  const EntityId alice = *db.CreateEntity(people, "alice");
+  const EntityId forty = db.InternInteger(40);
+  ASSERT_TRUE(db.SetSingle(alice, age, forty).ok());
+  const std::vector<std::int64_t> classes = {people.value(),
+                                             Schema::kIntegers().value()};
+  const std::vector<std::int64_t> attrs = {age.value()};
+  const std::uint64_t before = db.ReadSetVersion(classes, attrs);
+  ASSERT_TRUE(db.SetSingle(alice, age, forty).ok());  // Same value.
+  EXPECT_EQ(db.InternInteger(40), forty);              // Already interned.
+  EXPECT_EQ(db.GetSingle(alice, age), forty);
+  EXPECT_EQ(db.ReadSetVersion(classes, attrs), before);
 }
 
 }  // namespace

@@ -121,6 +121,23 @@ TEST_P(GroupingTest, GroupingOnSubclassSeesOnlySubclassMembers) {
   EXPECT_TRUE(ConsistencyChecker(db_).Check().ok());
 }
 
+TEST_P(GroupingTest, RenameMovesTheEntityToItsNewNameBlock) {
+  // A rename changes the naming attribute's value, so a grouping on it must
+  // follow -- with no observer registered on the database.
+  AttributeId name = db_.schema().GetClass(instruments_).own_attributes[0];
+  ASSERT_TRUE(db_.schema().GetAttribute(name).naming);
+  GroupingId by_name = *db_.CreateGrouping("by_name", instruments_, name);
+  EXPECT_EQ(db_.GetGroupingBlock(by_name, db_.InternString("violin")),
+            EntitySet{violin_});
+  ASSERT_TRUE(db_.RenameEntity(violin_, "fiddle").ok());
+  EXPECT_TRUE(db_.GetGroupingBlock(by_name, db_.InternString("violin"))
+                  .empty());
+  EXPECT_EQ(db_.GetGroupingBlock(by_name, db_.InternString("fiddle")),
+            EntitySet{violin_});
+  Status st = ConsistencyChecker(db_).Check();
+  EXPECT_TRUE(st.ok()) << st.ToString();
+}
+
 TEST_P(GroupingTest, StatsDistinguishMaintenanceStrategies) {
   (void)db_.GroupingBlocks(by_family_);  // force initial build
   std::int64_t builds_before = db_.stats().grouping_rebuilds;

@@ -1,6 +1,6 @@
 /// \file result_cache_test.cpp
 /// \brief The query-result cache (query/cache.h): key normalization,
-/// selective delta-driven invalidation, LRU bounds, version-stamp safety,
+/// selective read-set-stamp invalidation, LRU bounds, version-stamp safety,
 /// and the server's cached read path against a cache-disabled oracle.
 ///
 /// The oracle tests are the heart: a cached server and an uncached server
@@ -160,12 +160,12 @@ TEST(ResultCacheTest, AttributeDeltaEvictsOnlyDependentEntries) {
                   .ok());
   EXPECT_FALSE(rc.Peek(plays_key));
   EXPECT_TRUE(rc.Peek(size_key));
-  EXPECT_GE(rc.counters().invalidations, 1);
   EXPECT_EQ(rc.counters().schema_flushes, 0);
   EXPECT_EQ(rc.counters().version_flushes, 0);
 
   // The cached answer reflects the mutation after repopulating.
   auto fresh = CachedEval(&rc, db, h.musicians, plays_q);
+  EXPECT_GE(rc.counters().invalidations, 1);
   sdm::EntitySet oracle =
       Evaluator(db).EvaluateSubclass(plays_q, h.musicians);
   EXPECT_EQ(*fresh, oracle);
@@ -203,11 +203,15 @@ TEST(ResultCacheTest, SchemaChangeFlushesEverything) {
   ASSERT_TRUE(db.DeleteAttribute(h.popular).ok());
   EXPECT_FALSE(rc.Peek(ResultCache::NormalizeKey(plays_q, h.musicians)));
   EXPECT_FALSE(rc.Peek(ResultCache::NormalizeKey(size_q, h.music_groups)));
-  EXPECT_EQ(rc.counters().schema_flushes, 1);
+  EXPECT_EQ(rc.Lookup(ResultCache::NormalizeKey(plays_q, h.musicians)),
+            nullptr);
+  EXPECT_EQ(rc.Lookup(ResultCache::NormalizeKey(size_q, h.music_groups)),
+            nullptr);
+  EXPECT_EQ(rc.counters().invalidations, 2);
   EXPECT_EQ(rc.size(), 0);
 }
 
-TEST(ResultCacheTest, UnexplainedVersionAdvanceFlushes) {
+TEST(ResultCacheTest, InterningKeepsUnrelatedEntries) {
   auto ws = BuildScaledMusic(1);
   sdm::Database& db = ws->db();
   ScaledMusicHandles h = ResolveScaledMusic(*ws);
@@ -215,13 +219,44 @@ TEST(ResultCacheTest, UnexplainedVersionAdvanceFlushes) {
 
   Predicate size_q = MustParse(db, h.music_groups, "e.size = {3}");
   CachedEval(&rc, db, h.music_groups, size_q);
+  const std::string key = ResultCache::NormalizeKey(size_q, h.music_groups);
 
-  // Interning a never-seen value grows a predefined extent without any
-  // observer delta -- only the version bump betrays it. The next cache
-  // access must notice and flush.
+  // Interning a never-stored value grows only the integers extent, which
+  // this query does not read: the entry survives and still hits.
+  const std::uint64_t v0 = db.version();
   ASSERT_TRUE(db.InternValue(sdm::Value::Integer(123456789)).ok());
-  EXPECT_FALSE(rc.Peek(ResultCache::NormalizeKey(size_q, h.music_groups)));
-  EXPECT_EQ(rc.counters().version_flushes, 1);
+  ASSERT_NE(db.version(), v0);
+  EXPECT_TRUE(rc.Peek(key));
+  EXPECT_NE(rc.Lookup(key), nullptr);
+  EXPECT_EQ(rc.counters().hits, 1);
+  EXPECT_EQ(rc.counters().invalidations, 0);
+  EXPECT_EQ(rc.counters().version_flushes, 0);
+}
+
+TEST(ResultCacheTest, RenameDropsEntriesThatReadTheName) {
+  auto ws = BuildScaledMusic(1);
+  sdm::Database& db = ws->db();
+  ScaledMusicHandles h = ResolveScaledMusic(*ws);
+  ResultCache rc(&db);  // Nothing observes this database.
+
+  Predicate by_name =
+      MustParse(db, h.musicians, "e.stage_name = {musician3}");
+  Predicate plays_q = MustParse(db, h.musicians, "e.plays ]= {inst0}");
+  Result<EntityId> m3 = db.FindEntity(h.musicians, "musician3");
+  ASSERT_TRUE(m3.ok());
+  // The first evaluation interns every stage name, so the database moves
+  // under it and the insert is refused; the second one is cached.
+  CachedEval(&rc, db, h.musicians, by_name);
+  EXPECT_EQ(*CachedEval(&rc, db, h.musicians, by_name), sdm::EntitySet{*m3});
+  ASSERT_TRUE(rc.Peek(ResultCache::NormalizeKey(by_name, h.musicians)));
+  CachedEval(&rc, db, h.musicians, plays_q);
+
+  ASSERT_TRUE(db.RenameEntity(*m3, "renamed3").ok());
+  EXPECT_EQ(rc.Lookup(ResultCache::NormalizeKey(by_name, h.musicians)),
+            nullptr);
+  EXPECT_EQ(rc.counters().invalidations, 1);
+  EXPECT_TRUE(rc.Peek(ResultCache::NormalizeKey(plays_q, h.musicians)));
+  EXPECT_TRUE(CachedEval(&rc, db, h.musicians, by_name)->empty());
 }
 
 // --- Capacity and stamps. ---
@@ -278,14 +313,13 @@ TEST(ResultCacheTest, NonObservingCacheMayOutliveTheDatabase) {
   auto ws = BuildScaledMusic(1);
   ScaledMusicHandles h = ResolveScaledMusic(*ws);
   ResultCache::Options opts;
-  opts.observe = false;
   auto rc = std::make_unique<ResultCache>(&ws->db(), opts);
 
   Predicate q = MustParse(ws->db(), h.music_groups, "e.size = {3}");
   CachedEval(rc.get(), ws->db(), h.music_groups, q);
   EXPECT_TRUE(rc->Peek(ResultCache::NormalizeKey(q, h.music_groups)));
 
-  // Any mutation flushes on the next access (no deltas, only versions).
+  // A mutation of what the query reads stales the entry.
   EntityId g = *ws->db().Members(h.music_groups).begin();
   Result<EntityId> nine = ws->db().InternValue(sdm::Value::Integer(9));
   ASSERT_TRUE(nine.ok());

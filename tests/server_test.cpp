@@ -1464,6 +1464,98 @@ TEST(ServerTest, WaitedReplyCoversEveryEarlierRecordAndCrashLosesOnlyUiState) {
   WipeDurable(name);
 }
 
+/// A live-views server's log replays with the server's own engine attached,
+/// the way the live server maintained its derived views: a walk into a
+/// derived class, a gesture that moves its first member out, an assign that
+/// moves a new one in, a crash. The recovered server answers exactly as the
+/// live one did.
+TEST(ServerTest, LiveViewsRecoveryAnswersLikeTheLiveServer) {
+  const std::string name = "SrvLiveCrash";
+  WipeDurable(name);
+  std::string first_member;
+  std::string newcomer;
+  auto open = [&]() -> std::unique_ptr<Server> {
+    sdm::Database::Options db_options;
+    db_options.live_views = true;
+    std::unique_ptr<query::Workspace> ws =
+        datasets::BuildScaledMusic(2, 7, db_options);
+    ws->set_name(name);
+    sdm::Database& db = ws->db();
+    const ClassId musicians = *db.schema().FindClass("musicians");
+    Result<ClassId> view =
+        db.CreateSubclass("play_inst0", musicians, sdm::Membership::kDerived);
+    Result<query::Predicate> pred =
+        query::ParsePredicate(db, musicians, "e.plays ]= {inst0}");
+    if (!view.ok() || !pred.ok() ||
+        !ws->DefineSubclassMembership(*view, *pred).ok()) {
+      ADD_FAILURE() << "cannot define the derived view";
+      return nullptr;
+    }
+    first_member = db.NameOf(*db.Members(*view).begin());
+    for (EntityId m : db.Members(musicians)) {
+      if (!db.IsMember(m, *view)) newcomer = db.NameOf(m);
+    }
+    ServerOptions options;
+    options.threads = 2;
+    options.durable_dir = DurableDir();
+    Result<std::unique_ptr<Server>> opened =
+        Server::Open(std::move(ws), options);
+    EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+    return opened.ok() ? std::move(opened).ValueOrDie() : nullptr;
+  };
+  const std::vector<std::pair<std::string, std::string>> probes = {
+      {"play_inst0", "e.plays ]= {inst0}"},
+      {"play_inst0", "e.plays ]= {inst1}"},
+      {"musicians", "e.plays ]= {inst0}"},
+  };
+  auto answers = [&](RetryingClient& client) {
+    std::vector<std::vector<std::string>> out;
+    for (const auto& [cls, pred] : probes) {
+      Result<std::vector<std::string>> got = client.Query(cls, pred);
+      EXPECT_TRUE(got.ok()) << cls << " " << pred;
+      out.push_back(got.ok() ? *got : std::vector<std::string>{});
+    }
+    return out;
+  };
+
+  std::string live;
+  std::vector<std::vector<std::string>> live_answers;
+  {
+    std::unique_ptr<Server> srv = open();
+    ASSERT_NE(srv, nullptr);
+    RetryingClient client(
+        std::make_unique<LoopbackTransport>(srv.get(), "t"), RetryOptions());
+    ASSERT_TRUE(client.Connect().ok());
+    const std::vector<std::string> walk = {
+        "pick class:play_inst0", "cmd view contents",
+        "pick member:" + first_member, "cmd follow", "pick attr:plays",
+        "pick member:inst0",  // Toggles inst0 off.
+        "cmd (re)assign att. value", "cmd pop", "cmd pop"};
+    for (const std::string& line : walk) {
+      ASSERT_FALSE(Rejected(Gesture(client, line))) << line;
+    }
+    ASSERT_FALSE(newcomer.empty());
+    ASSERT_TRUE(client.Assign("musicians", newcomer, "plays", "inst0").ok());
+    live_answers = answers(client);
+    // The edits reached the view: its first member left, the newcomer came.
+    const std::vector<std::string>& view = live_answers[0];
+    EXPECT_EQ(std::find(view.begin(), view.end(), first_member), view.end());
+    EXPECT_NE(std::find(view.begin(), view.end(), newcomer), view.end());
+    live = store::Save(srv->workspace());
+    // No Shutdown(): the destructor is the crash.
+  }
+  std::unique_ptr<Server> srv = open();
+  ASSERT_NE(srv, nullptr);
+  EXPECT_EQ(store::Save(srv->workspace()), live)
+      << FirstDiff(live, store::Save(srv->workspace()));
+  RetryingClient client(std::make_unique<LoopbackTransport>(srv.get(), "t"),
+                        RetryOptions());
+  ASSERT_TRUE(client.Connect().ok());
+  EXPECT_EQ(answers(client), live_answers);
+  srv->Shutdown();
+  WipeDurable(name);
+}
+
 /// Liveness: a navigation-only stream longer than the committer's queue
 /// bound must not fill it with records nobody waits for (a full queue
 /// blocks the enqueuer, which holds the writer lock). Every accepted
