@@ -1,16 +1,18 @@
 /// \file bench_groupings.cpp
-/// \brief Experiment A1 (ablation): incremental grouping maintenance vs
-/// recompute-on-read.
+/// \brief Experiment A1: what a grouping costs to read and to keep current.
 ///
 /// The paper requires groupings to be "completely determined from the
-/// parent class and an attribute"; the engine can keep the blocks fresh
-/// incrementally on every mutation or rebuild lazily at each read after a
-/// change. The crossover depends on the read/write mix, which this bench
-/// sweeps: write-heavy workloads favour lazy recomputation, browse-heavy
-/// workloads (the ISIS norm — every data-level render reads the blocks)
-/// favour incremental maintenance.
+/// parent class and an attribute". The engine stores nothing per grouping:
+/// a read walks the attribute's value index (value -> owners, kept current
+/// on every write for the query planner anyway) and restricts each posting
+/// list to the parent's members. So a write pays only the index upkeep,
+/// and a read pays O(postings). This bench measures both against scale on
+/// scaled_music's `by_family` grouping (instruments = max(4, 2 * scale)).
 
 #include <benchmark/benchmark.h>
+
+#include <memory>
+#include <vector>
 
 #include "common/rng.h"
 #include "datasets/scaled_music.h"
@@ -24,101 +26,81 @@ using isis::datasets::ResolveScaledMusic;
 using isis::datasets::ScaledMusicHandles;
 using isis::sdm::Database;
 
-/// args: (scale, reads_per_write, incremental 0/1)
-void BM_GroupingMix(benchmark::State& state) {
-  int scale = static_cast<int>(state.range(0));
-  int reads_per_write = static_cast<int>(state.range(1));
-  bool incremental = state.range(2) != 0;
-
-  Database::Options opts;
-  opts.incremental_groupings = incremental;
-  auto ws = BuildScaledMusic(scale, /*seed=*/7, opts);
-  ScaledMusicHandles h = ResolveScaledMusic(*ws);
-  Database& db = ws->db();
-
-  std::vector<EntityId> insts(db.Members(h.instruments).begin(),
-                              db.Members(h.instruments).end());
-  std::vector<EntityId> fams(db.Members(h.families).begin(),
-                             db.Members(h.families).end());
-  Rng rng(99);
-  (void)db.GroupingBlocks(h.by_family);  // warm build
-
-  std::int64_t ops = 0;
-  for (auto _ : state) {
-    EntityId x = insts[rng.Below(insts.size())];
-    EntityId f = fams[rng.Below(fams.size())];
-    benchmark::DoNotOptimize(db.SetSingle(x, h.family, f).ok());
-    ++ops;
-    for (int r = 0; r < reads_per_write; ++r) {
-      benchmark::DoNotOptimize(db.GroupingBlocks(h.by_family).size());
-      ++ops;
-    }
+/// A scaled_music workspace with its `family` index built, plus the
+/// instruments and families to draw writes from.
+struct Fixture {
+  explicit Fixture(int scale)
+      : ws(BuildScaledMusic(scale, /*seed=*/7)),
+        h(ResolveScaledMusic(*ws)),
+        db(ws->db()),
+        insts(db.Members(h.instruments).begin(),
+              db.Members(h.instruments).end()),
+        fams(db.Members(h.families).begin(), db.Members(h.families).end()) {
+    (void)db.GroupingBlocks(h.by_family);  // build the value index
   }
-  state.SetItemsProcessed(ops);
-  state.counters["rebuilds"] =
-      static_cast<double>(db.stats().grouping_rebuilds);
-  state.counters["incr_updates"] =
-      static_cast<double>(db.stats().grouping_incremental_updates);
-  state.SetLabel(std::string(incremental ? "incremental" : "recompute") +
-                 " reads/write=" + std::to_string(reads_per_write));
-}
-BENCHMARK(BM_GroupingMix)
-    ->ArgsProduct({{8, 64}, {0, 1, 16}, {0, 1}})
-    ->Unit(benchmark::kMicrosecond);
 
-/// Cold rebuild cost vs class size (the lazy path's unit of work).
-void BM_GroupingRebuild(benchmark::State& state) {
-  int scale = static_cast<int>(state.range(0));
-  Database::Options opts;
-  opts.incremental_groupings = false;
-  auto ws = BuildScaledMusic(scale, /*seed=*/7, opts);
-  ScaledMusicHandles h = ResolveScaledMusic(*ws);
-  Database& db = ws->db();
-  std::vector<EntityId> insts(db.Members(h.instruments).begin(),
-                              db.Members(h.instruments).end());
-  std::vector<EntityId> fams(db.Members(h.families).begin(),
-                             db.Members(h.families).end());
-  Rng rng(5);
-  for (auto _ : state) {
-    state.PauseTiming();
-    // Dirty the cache with one write.
-    benchmark::DoNotOptimize(
-        db.SetSingle(insts[rng.Below(insts.size())], h.family,
-                     fams[rng.Below(fams.size())])
-            .ok());
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(db.GroupingBlocks(h.by_family).size());
+  void RandomWrite(Rng* rng) {
+    benchmark::DoNotOptimize(db.SetSingle(insts[rng->Below(insts.size())],
+                                          h.family,
+                                          fams[rng->Below(fams.size())])
+                                 .ok());
   }
-  state.counters["members"] =
-      static_cast<double>(db.Members(h.instruments).size());
-}
-BENCHMARK(BM_GroupingRebuild)
-    ->RangeMultiplier(4)
-    ->Range(1, 256)
-    ->Unit(benchmark::kMicrosecond);
 
-/// Incremental update cost per mutation (independent of class size — the
-/// ablation's headline).
-void BM_GroupingIncrementalUpdate(benchmark::State& state) {
-  int scale = static_cast<int>(state.range(0));
-  auto ws = BuildScaledMusic(scale);
-  ScaledMusicHandles h = ResolveScaledMusic(*ws);
-  Database& db = ws->db();
-  std::vector<EntityId> insts(db.Members(h.instruments).begin(),
-                              db.Members(h.instruments).end());
-  std::vector<EntityId> fams(db.Members(h.families).begin(),
-                             db.Members(h.families).end());
+  std::unique_ptr<isis::query::Workspace> ws;
+  ScaledMusicHandles h;
+  Database& db;
+  std::vector<EntityId> insts;
+  std::vector<EntityId> fams;
+};
+
+/// One `family` write: the value-index upkeep is the grouping's whole
+/// maintenance cost.
+void BM_GroupingWrite(benchmark::State& state) {
+  Fixture f(static_cast<int>(state.range(0)));
   Rng rng(5);
-  (void)db.GroupingBlocks(h.by_family);
+  for (auto _ : state) f.RandomWrite(&rng);
+  state.SetItemsProcessed(state.iterations());
+  state.counters["instruments"] = static_cast<double>(f.insts.size());
+}
+BENCHMARK(BM_GroupingWrite)->RangeMultiplier(4)->Range(1, 256);
+
+/// The full block list, as a grouping page render reads it.
+void BM_GroupingReadBlocks(benchmark::State& state) {
+  Fixture f(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        db.SetSingle(insts[rng.Below(insts.size())], h.family,
-                     fams[rng.Below(fams.size())])
-            .ok());
+    benchmark::DoNotOptimize(f.db.GroupingBlocks(f.h.by_family).size());
   }
   state.SetItemsProcessed(state.iterations());
+  state.counters["instruments"] = static_cast<double>(f.insts.size());
 }
-BENCHMARK(BM_GroupingIncrementalUpdate)->RangeMultiplier(4)->Range(1, 256);
+BENCHMARK(BM_GroupingReadBlocks)->RangeMultiplier(4)->Range(1, 256);
+
+/// One block by its index, as `follow` on a grouping page reads it.
+void BM_GroupingReadBlock(benchmark::State& state) {
+  Fixture f(static_cast<int>(state.range(0)));
+  Rng rng(9);
+  for (auto _ : state) {
+    EntityId fam = f.fams[rng.Below(f.fams.size())];
+    benchmark::DoNotOptimize(
+        f.db.GetGroupingBlock(f.h.by_family, fam).size());
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["instruments"] = static_cast<double>(f.insts.size());
+}
+BENCHMARK(BM_GroupingReadBlock)->RangeMultiplier(4)->Range(1, 256);
+
+/// Edit-then-browse: one write followed by one full block-list read.
+void BM_GroupingWriteThenRead(benchmark::State& state) {
+  Fixture f(static_cast<int>(state.range(0)));
+  Rng rng(99);
+  for (auto _ : state) {
+    f.RandomWrite(&rng);
+    benchmark::DoNotOptimize(f.db.GroupingBlocks(f.h.by_family).size());
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["instruments"] = static_cast<double>(f.insts.size());
+}
+BENCHMARK(BM_GroupingWriteThenRead)->RangeMultiplier(4)->Range(1, 256);
 
 }  // namespace
 

@@ -45,9 +45,7 @@ std::string EntityName(int i, int k) {
 }  // namespace
 
 std::unique_ptr<Workspace> BuildSynthetic(const SyntheticParams& p) {
-  Database::Options options;
-  options.incremental_groupings = p.incremental_groupings;
-  auto ws = std::make_unique<Workspace>(options);
+  auto ws = std::make_unique<Workspace>();
   ws->set_name("synthetic");
   Database& db = ws->db();
   Rng rng(p.seed);

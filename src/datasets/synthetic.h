@@ -26,7 +26,6 @@ struct SyntheticParams {
   int multi_fanout = 3;         ///< Values per multivalued attribute slot.
   int groupings = 2;            ///< Groupings over singlevalued attributes.
   std::uint64_t seed = 42;
-  bool incremental_groupings = true;
 };
 
 /// Builds a consistent synthetic workspace. Deterministic in `params`.

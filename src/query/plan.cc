@@ -58,20 +58,6 @@ std::string FmtSel(double s) {
   return buf;
 }
 
-/// One TermMemos block per thread, borrowed for the lifetime of one
-/// PlannedPredicate (see TermMemos in plan.h). `busy` routes nested plans
-/// to a private block; (db_instance, db_version) gate cross-request extent
-/// reuse; the entry bound keeps a long-lived worker thread from pinning
-/// every extent image it ever computed.
-struct ThreadMemoArena {
-  TermMemos memos;
-  bool busy = false;
-  std::uint64_t db_instance = 0;
-  std::uint64_t db_version = 0;
-};
-thread_local ThreadMemoArena tls_arena;
-constexpr std::size_t kMaxRetainedExtents = 64;
-
 }  // namespace
 
 bool PredicateMentionsAttribute(const Predicate& pred, AttributeId attr) {
@@ -84,26 +70,6 @@ bool PredicateMentionsAttribute(const Predicate& pred, AttributeId attr) {
 PlannedPredicate::PlannedPredicate(const sdm::Database& db,
                                    const Predicate& pred, ClassId v)
     : db_(db), pred_(pred), class_(v) {
-  ThreadMemoArena& arena = tls_arena;
-  if (!arena.busy) {
-    arena.busy = true;
-    memos_ = &arena.memos;
-    memos_->cand.clear();
-    memos_->self.clear();
-    memos_->consts.clear();
-    memos_->cand_e = kNullEntity;
-    memos_->self_x = kNullEntity;
-    if (arena.db_instance != db_.instance_id() ||
-        arena.db_version != db_.version() ||
-        memos_->extents.size() > kMaxRetainedExtents) {
-      memos_->extents.clear();
-      arena.db_instance = db_.instance_id();
-      arena.db_version = db_.version();
-    }
-  } else {
-    owned_memos_ = std::make_unique<TermMemos>();
-    memos_ = owned_memos_.get();
-  }
   class_size_ = db_.schema().HasClass(v)
                     ? static_cast<std::int64_t>(db_.Members(v).size())
                     : 0;
@@ -154,10 +120,6 @@ PlannedPredicate::PlannedPredicate(const sdm::Database& db,
       if (a.probe) ++stats_.probe_atoms;
     }
   }
-}
-
-PlannedPredicate::~PlannedPredicate() {
-  if (owned_memos_ == nullptr) tls_arena.busy = false;
 }
 
 AtomPlan PlannedPredicate::AnalyzeAtom(int atom_index) {
@@ -315,33 +277,33 @@ const EntitySet& PlannedPredicate::TermImage(const Term& term, EntityId e,
                                              EntityId x) {
   switch (term.origin) {
     case Operand::kCandidate: {
-      if (memos_->cand_e != e) {
-        memos_->cand.clear();
-        memos_->cand_e = e;
+      if (memos_.cand_e != e) {
+        memos_.cand.clear();
+        memos_.cand_e = e;
       }
-      auto it = memos_->cand.find(term.path);
-      if (it == memos_->cand.end()) {
-        it = memos_->cand.emplace(term.path, db_.EvaluateMap(e, term.path))
+      auto it = memos_.cand.find(term.path);
+      if (it == memos_.cand.end()) {
+        it = memos_.cand.emplace(term.path, db_.EvaluateMap(e, term.path))
                  .first;
       }
       return it->second;
     }
     case Operand::kSelf: {
-      if (memos_->self_x != x) {
-        memos_->self.clear();
-        memos_->self_x = x;
+      if (memos_.self_x != x) {
+        memos_.self.clear();
+        memos_.self_x = x;
       }
-      auto it = memos_->self.find(term.path);
-      if (it == memos_->self.end()) {
-        it = memos_->self.emplace(term.path, db_.EvaluateMap(x, term.path))
+      auto it = memos_.self.find(term.path);
+      if (it == memos_.self.end()) {
+        it = memos_.self.emplace(term.path, db_.EvaluateMap(x, term.path))
                  .first;
       }
       return it->second;
     }
     case Operand::kConstant: {
-      auto it = memos_->consts.find(&term);
-      if (it == memos_->consts.end()) {
-        it = memos_->consts
+      auto it = memos_.consts.find(&term);
+      if (it == memos_.consts.end()) {
+        it = memos_.consts
                  .emplace(&term, db_.EvaluateMap(term.constants, term.path))
                  .first;
       }
@@ -349,9 +311,9 @@ const EntitySet& PlannedPredicate::TermImage(const Term& term, EntityId e,
     }
     case Operand::kClassExtent: {
       auto key = std::make_pair(term.extent_class.value(), term.path);
-      auto it = memos_->extents.find(key);
-      if (it == memos_->extents.end()) {
-        it = memos_->extents
+      auto it = memos_.extents.find(key);
+      if (it == memos_.extents.end()) {
+        it = memos_.extents
                  .emplace(std::move(key),
                           db_.EvaluateMap(db_.Members(term.extent_class),
                                           term.path))

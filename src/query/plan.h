@@ -39,7 +39,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -56,19 +55,13 @@ namespace isis::query {
 /// never reads that attribute.
 bool PredicateMentionsAttribute(const Predicate& pred, AttributeId attr);
 
-/// \brief The four-scope term-image memo backing one PlannedPredicate.
+/// \brief The four-scope term-image memo of one PlannedPredicate.
 ///
-/// Normally arena-backed: a PlannedPredicate borrows the calling thread's
-/// memo block at construction and returns it at destruction, so the map
-/// node allocations survive from one request to the next instead of being
-/// rebuilt per evaluation. The candidate/self/constant scopes are cleared
-/// on every borrow (their keys only mean something within one query --
-/// `consts` is keyed by Term address), but the class-extent scope is keyed
-/// by (class id, path ids) and survives across borrows for as long as the
-/// database's (instance_id, version) stands still: repeated queries over
-/// the same extents skip rematerializing them even on result-cache misses.
-/// A nested plan (one built while another is alive on the same thread)
-/// finds the arena busy and falls back to a privately owned block.
+/// Owned by the plan and dropped with it: every scope is only valid for one
+/// query against an unchanging database (`consts` is even keyed by Term
+/// address). The candidate scope holds images for one candidate e, the
+/// self scope for one self entity x; constant and class-extent images are
+/// computed once per query.
 struct TermMemos {
   // Candidate-rooted images are valid for one e, self-rooted for one x;
   // constants and class extents are e/x-independent.
@@ -130,7 +123,6 @@ class PlannedPredicate {
   /// Builds the plan. Probe analysis may lazily build value indexes (they
   /// are maintained incrementally afterwards).
   PlannedPredicate(const sdm::Database& db, const Predicate& pred, ClassId v);
-  ~PlannedPredicate();  ///< Returns the borrowed memo block to the arena.
 
   PlannedPredicate(const PlannedPredicate&) = delete;
   PlannedPredicate& operator=(const PlannedPredicate&) = delete;
@@ -169,9 +161,7 @@ class PlannedPredicate {
   std::vector<ClausePlan> clauses_;
   PlanStats stats_;
 
-  // --- Per-query map-image memo (arena-backed; see TermMemos). ---
-  TermMemos* memos_ = nullptr;
-  std::unique_ptr<TermMemos> owned_memos_;  ///< Set iff the arena was busy.
+  TermMemos memos_;  ///< Per-query map-image memo.
 };
 
 }  // namespace isis::query

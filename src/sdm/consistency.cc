@@ -155,7 +155,8 @@ void ConsistencyChecker::CheckGroupingDerivations(
   const Schema& schema = db_.schema();
   for (GroupingId g : schema.AllGroupings()) {
     const GroupingDef& def = schema.GetGrouping(g);
-    // Re-derive the blocks from scratch.
+    // Re-derive the blocks from the value rows and compare them with what
+    // GroupingBlocks serves from the attribute's value index.
     std::map<EntityId, EntitySet> expected;
     for (EntityId x : db_.Members(def.parent)) {
       for (EntityId v : db_.GetValueSet(x, def.on_attribute)) {

@@ -25,6 +25,16 @@ void BumpChanges(std::vector<std::uint64_t>* counts, std::int64_t id) {
   if (slot >= counts->size()) counts->resize(slot + 1);
   ++(*counts)[slot];
 }
+
+/// The owners that are also members of `parent`: a value-index posting
+/// list cut down to one grouping's parent class.
+EntitySet RestrictTo(const EntitySet& owners, const EntitySet& parent) {
+  EntitySet out;
+  for (EntityId x : owners) {
+    if (parent.count(x) > 0) out.insert(out.end(), x);
+  }
+  return out;
+}
 }  // namespace
 
 std::int64_t Database::InternMissCount() { return tls_intern_misses; }
@@ -143,7 +153,6 @@ Status Database::SetValueClass(AttributeId attr, ClassId value_class) {
   }
   {
     MutexLock lock(lazy_mu_);
-    MarkGroupingsDirtyOn(attr);
     auto vit = value_index_.find(attr.value());
     if (vit != value_index_.end()) vit->second.dirty = true;
   }
@@ -172,22 +181,11 @@ Status Database::RenameAttribute(AttributeId attr,
 Result<GroupingId> Database::CreateGrouping(const std::string& name,
                                             ClassId parent,
                                             AttributeId on_attribute) {
-  ISIS_ASSIGN_OR_RETURN(GroupingId g,
-                        schema_.CreateGrouping(name, parent, on_attribute));
-  {
-    MutexLock lock(lazy_mu_);
-    grouping_cache_[g.value()];  // starts dirty
-  }
-  return g;
+  return schema_.CreateGrouping(name, parent, on_attribute);
 }
 
 Status Database::DeleteGrouping(GroupingId g) {
-  ISIS_RETURN_NOT_OK(schema_.DeleteGrouping(g));
-  {
-    MutexLock lock(lazy_mu_);
-    grouping_cache_.erase(g.value());
-  }
-  return Status::OK();
+  return schema_.DeleteGrouping(g);
 }
 
 Status Database::RenameGrouping(GroupingId g, const std::string& new_name) {
@@ -349,8 +347,8 @@ Status Database::RenameEntity(EntityId e, const std::string& new_name) {
   ent.name = new_name;
   names[new_name] = e;
   // A rename is a change of the naming attribute's (virtual) value, and
-  // reaches groupings, observers and its change count like any other. (No
-  // `ent` past this point: interning may reallocate entities_.)
+  // reaches observers and its change count like any other. (No `ent` past
+  // this point: interning may reallocate entities_.)
   for (AttributeId a : schema_.GetClass(base).own_attributes) {
     if (!schema_.GetAttribute(a).naming) continue;
     const EntitySet before{InternString(old_name)};
@@ -491,7 +489,7 @@ Status Database::RemoveFromClass(EntityId e, ClassId cls) {
   ScrubReferences(e, affected);
   // The entity's own rows for attributes defined on the classes it left are
   // no longer meaningful; drop them so a later re-insertion starts from the
-  // defaults. (Grouping blocks were already fixed by the membership hooks.)
+  // defaults.
   for (ClassId c : affected) {
     for (AttributeId a : schema_.GetClass(c).own_attributes) {
       auto sit = single_.find(a.value());
@@ -736,97 +734,57 @@ Result<ClassId> Database::MapTerminalClass(
 
 // --- Groupings as data. ---
 
-const std::vector<GroupingBlock>& Database::GroupingBlocks(GroupingId g) const {
-  // Build-then-publish under lazy_mu_: concurrent shared-phase readers
-  // serialize on the (at most one) rebuild; the returned reference stays
-  // valid and immutable until the next exclusive-phase mutation.
-  MutexLock lock(lazy_mu_);
-  GroupingCache& cache = grouping_cache_[g.value()];
-  if (cache.dirty) RebuildGrouping(g, &cache);
-  return cache.blocks;
+std::vector<GroupingBlock> Database::GroupingBlocks(GroupingId g) const {
+  std::vector<GroupingBlock> blocks;
+  if (!schema_.HasGrouping(g)) return blocks;
+  const GroupingDef& def = schema_.GetGrouping(g);
+  const EntitySet& parent = Members(def.parent);
+  if (ValueIndexable(def.on_attribute)) {
+    MutexLock lock(lazy_mu_);
+    const ValueIndex* idx = EnsureValueIndexLocked(def.on_attribute);
+    for (const auto& [value, owners] : idx->owners_by_value) {
+      EntitySet members = RestrictTo(owners, parent);
+      if (!members.empty()) {
+        blocks.push_back(GroupingBlock{value, std::move(members)});
+      }
+    }
+  } else {
+    // Names are unique within a baseclass, so every member is alone in the
+    // block of its name. Reading the name interns it; a frozen miss
+    // degrades to null (and is counted), so the block is left out.
+    for (EntityId x : parent) {
+      EntityId name = GetSingle(x, def.on_attribute);
+      if (name != kNullEntity) blocks.push_back(GroupingBlock{name, {x}});
+    }
+  }
+  std::sort(blocks.begin(), blocks.end(),
+            [](const GroupingBlock& a, const GroupingBlock& b) {
+              return a.index < b.index;
+            });
+  return blocks;
 }
 
 EntitySet Database::GetGroupingBlock(GroupingId g, EntityId index) const {
-  MutexLock lock(lazy_mu_);
-  GroupingCache& cache = grouping_cache_[g.value()];
-  if (cache.dirty) RebuildGrouping(g, &cache);
-  auto it = cache.block_of_index.find(index);
-  if (it == cache.block_of_index.end()) return {};
-  return cache.blocks[it->second].members;
-}
-
-void Database::RebuildGrouping(GroupingId g, GroupingCache* cache) const {
-  cache->blocks.clear();
-  cache->block_of_index.clear();
-  if (!schema_.HasGrouping(g)) {
-    cache->dirty = false;
-    return;
-  }
+  if (!schema_.HasGrouping(g)) return {};
   const GroupingDef& def = schema_.GetGrouping(g);
-  // Deterministic: iterate members in id order; blocks sorted by index id.
-  std::map<EntityId, EntitySet> acc;
-  for (EntityId x : Members(def.parent)) {
-    for (EntityId v : GetValueSet(x, def.on_attribute)) {
-      acc[v].insert(x);
-    }
+  const EntitySet& parent = Members(def.parent);
+  if (ValueIndexable(def.on_attribute)) {
+    MutexLock lock(lazy_mu_);
+    const ValueIndex* idx = EnsureValueIndexLocked(def.on_attribute);
+    auto it = idx->owners_by_value.find(index);
+    if (it == idx->owners_by_value.end()) return {};
+    return RestrictTo(it->second, parent);
   }
-  for (auto& [index, set] : acc) {
-    cache->block_of_index[index] = cache->blocks.size();
-    cache->blocks.push_back(GroupingBlock{index, std::move(set)});
+  // A naming attribute's value is the string entity of the owner's name:
+  // compare the names themselves, which interns nothing.
+  EntitySet block;
+  if (index == kNullEntity || !HasEntity(index)) return block;
+  const Entity& name = GetEntity(index);
+  if (!name.has_value || name.value.kind() != BaseKind::kString) return block;
+  for (EntityId x : parent) {
+    if (NameOf(x) == name.value.str()) block.insert(x);
   }
-  cache->dirty = false;
-  ++stats_.grouping_rebuilds;
-}
-
-void Database::GroupingInsert(GroupingCache* cache, EntityId index,
-                              EntityId member) {
-  auto it = cache->block_of_index.find(index);
-  if (it == cache->block_of_index.end()) {
-    // Insert the new block keeping blocks sorted by index id.
-    size_t pos = 0;
-    while (pos < cache->blocks.size() && cache->blocks[pos].index < index) {
-      ++pos;
-    }
-    cache->blocks.insert(cache->blocks.begin() + pos,
-                         GroupingBlock{index, {member}});
-    for (auto& [idx, p] : cache->block_of_index) {
-      (void)idx;
-      if (p >= pos) ++p;
-    }
-    cache->block_of_index[index] = pos;
-  } else {
-    cache->blocks[it->second].members.insert(member);
-  }
-}
-
-void Database::GroupingErase(GroupingCache* cache, EntityId index,
-                             EntityId member) {
-  auto it = cache->block_of_index.find(index);
-  if (it == cache->block_of_index.end()) return;
-  size_t pos = it->second;
-  cache->blocks[pos].members.erase(member);
-  if (cache->blocks[pos].members.empty()) {
-    cache->blocks.erase(cache->blocks.begin() + pos);
-    cache->block_of_index.erase(it);
-    for (auto& [idx, p] : cache->block_of_index) {
-      (void)idx;
-      if (p > pos) --p;
-    }
-  }
-}
-
-void Database::IncrementalGroupingUpdate(GroupingId g, EntityId e,
-                                         const EntitySet& before,
-                                         const EntitySet& after) {
-  GroupingCache& cache = grouping_cache_[g.value()];
-  if (cache.dirty) return;  // will rebuild at next read anyway
-  for (EntityId v : before) {
-    if (after.count(v) == 0) GroupingErase(&cache, v, e);
-  }
-  for (EntityId v : after) {
-    if (before.count(v) == 0) GroupingInsert(&cache, v, e);
-  }
-  ++stats_.grouping_incremental_updates;
+  return block;
 }
 
 // --- Attribute-value indexes. ---
@@ -932,42 +890,12 @@ void Database::OnAttributeValueChange(EntityId e, AttributeId attr,
   }
   MutexLock lock(lazy_mu_);
   ValueIndexUpdate(attr, e, before, after);
-  for (GroupingId g : schema_.AllGroupings()) {
-    const GroupingDef& def = schema_.GetGrouping(g);
-    if (def.on_attribute != attr) continue;
-    if (!IsMember(e, def.parent)) continue;
-    if (options_.incremental_groupings) {
-      IncrementalGroupingUpdate(g, e, before, after);
-    } else {
-      grouping_cache_[g.value()].dirty = true;
-    }
-  }
 }
 
 void Database::OnMembershipChange(EntityId e, ClassId cls, bool added) {
   BumpChanges(&class_changes_, cls.value());
   for (MutationObserver* o : observers_) {
     o->OnMembership(e, cls, added);
-  }
-  MutexLock lock(lazy_mu_);
-  for (GroupingId g : schema_.AllGroupings()) {
-    const GroupingDef& def = schema_.GetGrouping(g);
-    if (def.parent != cls) continue;
-    if (options_.incremental_groupings) {
-      GroupingCache& cache = grouping_cache_[g.value()];
-      if (cache.dirty) continue;
-      EntitySet values = GetValueSet(e, def.on_attribute);
-      for (EntityId v : values) {
-        if (added) {
-          GroupingInsert(&cache, v, e);
-        } else {
-          GroupingErase(&cache, v, e);
-        }
-      }
-      ++stats_.grouping_incremental_updates;
-    } else {
-      grouping_cache_[g.value()].dirty = true;
-    }
   }
 }
 
@@ -1001,14 +929,6 @@ std::uint64_t Database::ReadSetVersion(
   for (std::int64_t c : classes) sum += count(class_changes_, c);
   for (std::int64_t a : attrs) sum += count(attr_changes_, a);
   return sum;
-}
-
-void Database::MarkGroupingsDirtyOn(AttributeId attr) {
-  for (GroupingId g : schema_.AllGroupings()) {
-    if (schema_.GetGrouping(g).on_attribute == attr) {
-      grouping_cache_[g.value()].dirty = true;
-    }
-  }
 }
 
 // --- Restore API. ---

@@ -10,7 +10,8 @@
 ///   * a singlevalued attribute defines a function (default: the null
 ///     entity); a multivalued attribute defaults to the empty set;
 ///   * each grouping is completely determined by its parent class and
-///     attribute (maintained incrementally, see GroupingBlocks).
+///     attribute, so it is read from that attribute's value index rather
+///     than stored (see GroupingBlocks).
 ///
 /// The null entity is "a member of every class" (paper §2); it never appears
 /// in member listings or map images.
@@ -57,13 +58,13 @@ using EntitySet = std::set<EntityId>;
 /// \brief Observer of data-level mutations (the live-view engine's feed).
 ///
 /// A Database fans typed deltas out to registered observers from the same
-/// internal hook sites that maintain groupings, so observers see exactly the
-/// real state changes (no-op mutations fire nothing). Callbacks run while the
-/// mutating call is still on the stack, so an observer must only *record*
-/// the delta; any reaction that mutates the database has to wait for
-/// OnMutationsSettled, which fires once the outermost mutating call returns
-/// (no Database mutator is on the stack at that point, so re-entrant
-/// mutation is safe there).
+/// internal hook sites that maintain the value indexes, so observers see
+/// exactly the real state changes (no-op mutations fire nothing). Callbacks
+/// run while the mutating call is still on the stack, so an observer must
+/// only *record* the delta; any reaction that mutates the database has to
+/// wait for OnMutationsSettled, which fires once the outermost mutating call
+/// returns (no Database mutator is on the stack at that point, so
+/// re-entrant mutation is safe there).
 class MutationObserver {
  public:
   virtual ~MutationObserver() = default;
@@ -101,10 +102,6 @@ class Database {
  public:
   struct Options {
     Schema::Options schema;
-    /// Maintain grouping blocks incrementally on each mutation. When false,
-    /// groupings are recomputed from scratch at each read after a mutation
-    /// (the ablation benchmarked by bench_groupings).
-    bool incremental_groupings = true;
     /// Keep stored derived subclasses/attributes/constraints fresh through
     /// the live-view engine (live::LiveViewEngine) instead of manual
     /// ReevaluateAll calls. The flag only records the intent — the engine is
@@ -126,8 +123,8 @@ class Database {
   Result<ClassId> CreateSubclass(const std::string& name, ClassId parent,
                                  Membership membership);
   Status AddParent(ClassId cls, ClassId extra_parent);
-  /// Deletes a class; in addition to Schema's preconditions, membership data
-  /// and grouping caches are dropped.
+  /// Deletes a class; in addition to Schema's preconditions, its membership
+  /// data is dropped.
   Status DeleteClass(ClassId cls);
   Status RenameClass(ClassId cls, const std::string& new_name);
   /// Switches a subclass between enumerated and derived membership.
@@ -257,22 +254,25 @@ class Database {
 
   // --- Groupings as data. ---
 
-  /// The blocks of `g`, ordered by index-entity id. Recomputed or
-  /// incrementally maintained per Options::incremental_groupings.
-  const std::vector<GroupingBlock>& GroupingBlocks(GroupingId g) const;
+  /// The non-empty blocks of `g`, ordered by index-entity id: the value
+  /// index of g's attribute restricted to the members of g's parent. Each
+  /// read walks the index's postings; nothing is kept between reads. A naming
+  /// attribute has no index; its blocks are the parent's members, one per
+  /// block, and reading them interns the names (see "Concurrency").
+  std::vector<GroupingBlock> GroupingBlocks(GroupingId g) const;
 
-  /// The block of `g` indexed by `index` (empty if none).
+  /// The block of `g` indexed by `index` (empty if none). Never interns.
   EntitySet GetGroupingBlock(GroupingId g, EntityId index) const;
 
   // --- Attribute-value indexes (query-layer acceleration). ---
   //
   // A per-attribute inverted index value -> { owners }: for a singlevalued
   // attribute the owners whose value *is* the entity, for a multivalued one
-  // the owners whose value set *contains* it. Unlike groupings these exist
-  // for every stored attribute, need no schema object, and are what the
-  // query planner probes for one-placed equality/membership atoms. Built
-  // lazily from the attribute's value rows on first probe and then kept
-  // fresh through the same mutation hooks that maintain groupings.
+  // the owners whose value set *contains* it. These exist for every stored
+  // attribute and need no schema object; the query planner probes them for
+  // one-placed equality/membership atoms, and a grouping is read from its
+  // attribute's index. Built lazily from the attribute's value rows on
+  // first use and then kept fresh through the mutation hooks.
 
   /// True if `attr` can be served by the value index. Naming attributes are
   /// not indexable: their values are computed from entity names, not stored
@@ -309,8 +309,6 @@ class Database {
 
   /// Statistics for benchmarking.
   struct Stats {
-    std::int64_t grouping_rebuilds = 0;
-    std::int64_t grouping_incremental_updates = 0;
     std::int64_t value_index_rebuilds = 0;
     std::int64_t value_index_incremental_updates = 0;
     std::int64_t value_index_probes = 0;
@@ -337,12 +335,12 @@ class Database {
   // mutations serialized under the matching exclusive (writer) lock. Three
   // internal rules make the const surface safe in that regime:
   //
-  //  1. Lazily-built structures reached from const reads — attribute-value
-  //     indexes and grouping caches — are built and probed under an
-  //     internal mutex (`lazy_mu_`). A build publishes a structure that no
-  //     one modifies again until the next exclusive-phase mutation, so the
-  //     references these accessors return stay valid for the whole shared
-  //     phase (build-then-publish).
+  //  1. The lazily-built attribute-value indexes, reached from const reads
+  //     (planner probes, grouping reads), are built and probed under an
+  //     internal mutex (`lazy_mu_`). A build publishes an index that no one
+  //     modifies again until the next exclusive-phase mutation, so the
+  //     references the probe accessors return stay valid for the whole
+  //     shared phase (build-then-publish).
   //  2. Interning — a logical read that physically creates an entity — can
   //     be *frozen*. While frozen, looking up an already-interned value is
   //     a plain read, but a value never seen before is NOT created:
@@ -403,9 +401,9 @@ class Database {
                                std::span<const std::int64_t> attrs) const;
 
   /// Process-unique id of this instance, assigned at construction from a
-  /// monotone counter. Per-thread caches keyed by database identity use
-  /// (instance_id, version) rather than (pointer, version): a new database
-  /// allocated at a recycled address must not inherit the old one's cache.
+  /// monotone counter. Caches keyed by database identity use it rather
+  /// than the pointer: a new database allocated at a recycled address must
+  /// not inherit the old one's cache.
   std::uint64_t instance_id() const { return instance_id_; }
 
  private:
@@ -428,12 +426,6 @@ class Database {
     Database* db_;
   };
 
-  struct GroupingCache {
-    bool dirty = true;
-    std::vector<GroupingBlock> blocks;
-    std::unordered_map<EntityId, size_t> block_of_index;
-  };
-
   struct ValueIndex {
     bool dirty = true;
     std::unordered_map<EntityId, EntitySet> owners_by_value;
@@ -449,14 +441,13 @@ class Database {
   void ScrubReferences(EntityId e, const std::vector<ClassId>& classes);
   void ScrubAllReferences(EntityId e);
 
-  /// Grouping maintenance hooks (also the observer fan-out sites and the
-  /// ReadSetVersion() counter bumps).
+  /// Mutation hooks: the observer fan-out sites, the ReadSetVersion()
+  /// counter bumps and (for values) the value-index upkeep.
   void OnAttributeValueChange(EntityId e, AttributeId attr,
                               const EntitySet& before, const EntitySet& after);
   void OnMembershipChange(EntityId e, ClassId cls, bool added);
   void NotifySchemaChange();
   void NotifySettled();
-  void MarkGroupingsDirtyOn(AttributeId attr) ISIS_REQUIRES(lazy_mu_);
   /// Lazily (re)builds `attr`'s value index; nullptr when unindexable.
   ValueIndex* EnsureValueIndexLocked(AttributeId attr) const
       ISIS_REQUIRES(lazy_mu_);
@@ -466,16 +457,6 @@ class Database {
   /// Index fix-up for attribute rows dropped without a value-change
   /// notification (entity deletion, class removal). Takes lazy_mu_ itself.
   void ValueIndexDropRow(AttributeId attr, EntityId e) ISIS_EXCLUDES(lazy_mu_);
-  void RebuildGrouping(GroupingId g, GroupingCache* cache) const
-      ISIS_REQUIRES(lazy_mu_);
-  void IncrementalGroupingUpdate(GroupingId g, EntityId e,
-                                 const EntitySet& before,
-                                 const EntitySet& after)
-      ISIS_REQUIRES(lazy_mu_);
-  void GroupingInsert(GroupingCache* cache, EntityId index, EntityId member)
-      ISIS_REQUIRES(lazy_mu_);
-  void GroupingErase(GroupingCache* cache, EntityId index, EntityId member)
-      ISIS_REQUIRES(lazy_mu_);
 
   Schema schema_;
   Options options_;
@@ -497,17 +478,15 @@ class Database {
   std::unordered_map<std::int64_t, std::unordered_map<EntityId, EntitySet>>
       multi_;
 
-  /// Guards the lazily-built structures (grouping caches, value indexes)
-  /// and read-path stats counters against concurrent shared-phase builds;
-  /// see the "Concurrency" section above.
+  /// Guards the lazily-built value indexes and the read-path stats
+  /// counters against concurrent shared-phase builds; see the
+  /// "Concurrency" section above.
   mutable Mutex lazy_mu_;
-  /// Atomic, not lazy_mu_-guarded: InternValue reads it and is reachable
-  /// from under lazy_mu_ (RebuildGrouping -> GetValueSet -> naming-attribute
-  /// GetSingle -> InternString), so guarding it would self-deadlock. Toggles
-  /// happen under the server's exclusive lock; relaxed order suffices.
+  /// Atomic, not lazy_mu_-guarded: shared-phase readers consult it on
+  /// every intern miss (naming reads, query literals) and should not take
+  /// a lock for a flag. Toggles happen under the server's exclusive lock,
+  /// which already orders them against those reads; relaxed order suffices.
   std::atomic<bool> intern_frozen_{false};
-  mutable std::unordered_map<std::int64_t, GroupingCache> grouping_cache_
-      ISIS_GUARDED_BY(lazy_mu_);
   mutable std::unordered_map<std::int64_t, ValueIndex> value_index_
       ISIS_GUARDED_BY(lazy_mu_);
   mutable Stats stats_ ISIS_GUARDED_BY(lazy_mu_);

@@ -104,18 +104,22 @@ Result<ClassId> Schema::CreateClassNode(const std::string& name,
 Result<ClassId> Schema::CreateBaseclass(const std::string& name,
                                         const std::string& naming_attribute) {
   ++generation_;
+  // Every check runs before the class node takes an id and a fill pattern,
+  // so a rejected call leaves no trace, not even a gap in either sequence.
+  // A new baseclass has no attributes and no descendants, so a valid name
+  // is all its naming attribute needs.
+  ISIS_RETURN_NOT_OK(CheckNameFree(name));
+  if (!IsValidName(naming_attribute)) {
+    return Status::InvalidArgument("invalid attribute name: '" +
+                                   naming_attribute + "'");
+  }
   ISIS_ASSIGN_OR_RETURN(
       ClassId id,
       CreateClassNode(name, {}, Membership::kBase, BaseKind::kNone));
-  Result<AttributeId> naming =
-      CreateAttribute(id, naming_attribute, kStrings(), /*multivalued=*/false);
-  if (!naming.ok()) {
-    // Roll the class back so a bad naming-attribute name leaves no trace.
-    class_by_name_.erase(name);
-    class_live_[id.value()] = false;
-    return naming.status();
-  }
-  attributes_[naming.ValueOrDie().value()].naming = true;
+  ISIS_ASSIGN_OR_RETURN(AttributeId naming,
+                        CreateAttribute(id, naming_attribute, kStrings(),
+                                        /*multivalued=*/false));
+  attributes_[naming.value()].naming = true;
   return id;
 }
 

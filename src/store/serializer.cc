@@ -183,9 +183,10 @@ std::string Save(const Workspace& ws) {
   const Schema& schema = db.schema();
   std::ostringstream out;
   out << "name|" << Escape(ws.name()) << "\n";
-  out << "options|" << (db.options().incremental_groupings ? 1 : 0) << "|"
-      << (schema.options().allow_multiple_parents ? 1 : 0) << "|"
-      << (db.options().live_views ? 1 : 0) << "\n";
+  // The first slot is retired; it stays, always 1, so files written
+  // before and after its retirement share one format.
+  out << "options|1|" << (schema.options().allow_multiple_parents ? 1 : 0)
+      << "|" << (db.options().live_views ? 1 : 0) << "\n";
 
   for (ClassId c : schema.AllClasses()) {
     if (c.value() < 4) continue;  // predefined classes are deterministic
@@ -389,7 +390,7 @@ Status LoadInto(const std::string& text, Workspace* ws_out,
     if (f[0] == "name" && f.size() == 2) {
       name = Unescape(f[1]);
     } else if (f[0] == "options" && (f.size() == 3 || f.size() == 4)) {
-      options.incremental_groupings = f[1] == "1";
+      // f[1] is the retired grouping-maintenance slot: 0 or 1, ignored.
       options.schema.allow_multiple_parents = f[2] == "1";
       // Field added later; files saved before it default to off.
       options.live_views = f.size() >= 4 && f[3] == "1";

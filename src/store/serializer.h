@@ -14,7 +14,8 @@
 ///
 ///   ISIS|2
 ///   name|Instrumental_Music
-///   options|incremental_groupings|allow_multiple_parents|live_views
+///   options|1|allow_multiple_parents|live_views   (the first slot is
+///                                        retired: written 1, read 0 or 1)
 ///   class|id|name|membership|base_kind|fill|parents|own_attrs
 ///   attr|id|name|owner|value_class|grouping|multi|naming|origin
 ///   grouping|id|name|parent|attr|fill

@@ -1142,6 +1142,8 @@ Status SessionController::CmdAssignAttrValue() {
                                         "attribute"));
   }
   const AttributeDef& def = ws_->db().schema().GetAttribute(source.followed);
+  Status current = CheckSelectionCurrent(source.selected, def.owner);
+  if (!current.ok()) return Fail(current);
   PushUndoSnapshot();
   Status st;
   if (!def.multivalued) {
@@ -1203,6 +1205,8 @@ Status SessionController::CmdDeleteEntity() {
     return Fail(Status::InvalidArgument(
         "select the entities to delete on a class page"));
   }
+  Status current = CheckSelectionCurrent(top->selected, top->cls);
+  if (!current.ok()) return Fail(current);
   PushUndoSnapshot();
   EntitySet doomed = top->selected;
   for (EntityId e : doomed) {
@@ -1215,6 +1219,25 @@ Status SessionController::CmdDeleteEntity() {
   Journal("delete entity", std::to_string(doomed.size()) + " entit(ies)");
   Say("deleted " + std::to_string(doomed.size()) + " entit(ies)");
   RefreshDerived();
+  return Status::OK();
+}
+
+Status SessionController::CheckSelectionCurrent(const EntitySet& selected,
+                                                ClassId cls) const {
+  const sdm::Database& db = ws_->db();
+  if (!db.schema().HasClass(cls)) {
+    return Status::NotFound("class does not exist");
+  }
+  for (EntityId e : selected) {
+    if (e == sdm::kNullEntity || !db.HasEntity(e)) {
+      return Status::NotFound("entity does not exist");
+    }
+    if (!db.IsMember(e, cls)) {
+      return Status::NotFound("entity '" + db.NameOf(e) +
+                              "' is no longer a member of '" +
+                              db.schema().GetClass(cls).name + "'");
+    }
+  }
   return Status::OK();
 }
 
@@ -1640,6 +1663,12 @@ Status SessionController::HandleText(const std::string& text) {
         DataPage source = state_.saved_pages.empty()
                               ? DataPage{}
                               : state_.saved_pages.back();
+        Status current = CheckSelectionCurrent(source.selected, source.cls);
+        if (!current.ok()) {
+          undo_.pop_back();
+          EndTempVisit();
+          return Fail(current);
+        }
         Result<ClassId> cls = ws_->db().CreateSubclass(
             text, source.cls, Membership::kEnumerated);
         if (!cls.ok()) {

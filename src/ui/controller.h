@@ -199,6 +199,13 @@ class SessionController {
   void BeginTempVisit(TempVisit kind, Level target_level);
   void EndTempVisit();
   void PushUndoSnapshot();
+  /// A selection is picked in one gesture and used by a later one, and in
+  /// a shared session another session may delete its entities or move
+  /// them out of `cls` in between. A command that edits a selection calls
+  /// this before its first mutation, so a stale selection is refused with
+  /// the database untouched instead of failing halfway through the loop.
+  Status CheckSelectionCurrent(const sdm::EntitySet& selected,
+                               ClassId cls) const;
   /// Attaches a LiveViewEngine when the workspace opted in
   /// (Options::live_views); called on construction and whenever ws_ is
   /// replaced (undo, redo, load).

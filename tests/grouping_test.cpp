@@ -1,8 +1,14 @@
 /// \file grouping_test.cpp
-/// \brief Unit + property tests for groupings-as-data: block derivation and
-/// the incremental maintenance vs full recomputation equivalence.
+/// \brief Unit + property tests for groupings-as-data: the blocks a
+/// grouping reads from its attribute's value index equal their derivation
+/// from the rows, under mutation and under concurrent readers, whichever
+/// way that index came up to date.
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <thread>
+#include <vector>
 
 #include "common/rng.h"
 #include "sdm/consistency.h"
@@ -11,22 +17,23 @@
 namespace isis::sdm {
 namespace {
 
+/// The parameter picks how the value indexes behind the groupings are kept
+/// up to date. Incremental (true): the indexes of `family` and `tags` are
+/// built while still empty, so every value a test reads arrived through the
+/// mutation hooks' incremental upkeep. Recompute (false): no index exists
+/// until a test first reads a grouping, which builds it from the rows.
 class GroupingTest : public ::testing::TestWithParam<bool> {
  protected:
-  GroupingTest() : db_(MakeOptions(GetParam())) {}
-
-  static Database::Options MakeOptions(bool incremental) {
-    Database::Options o;
-    o.incremental_groupings = incremental;
-    return o;
-  }
-
   void SetUp() override {
     instruments_ = *db_.CreateBaseclass("instruments", "name");
     families_ = *db_.CreateBaseclass("families", "name");
     family_ = *db_.CreateAttribute(instruments_, "family", families_, false);
     tags_ = *db_.CreateAttribute(instruments_, "tags", Schema::kStrings(),
                                  true);
+    if (GetParam()) {
+      EXPECT_EQ(db_.ValueIndexPostings(family_), 0);
+      EXPECT_EQ(db_.ValueIndexPostings(tags_), 0);
+    }
     by_family_ = *db_.CreateGrouping("by_family", instruments_, family_);
     strings_ = *db_.CreateEntity(families_, "strings");
     brass_ = *db_.CreateEntity(families_, "brass");
@@ -36,6 +43,9 @@ class GroupingTest : public ::testing::TestWithParam<bool> {
     EXPECT_TRUE(db_.SetSingle(violin_, family_, strings_).ok());
     EXPECT_TRUE(db_.SetSingle(cello_, family_, strings_).ok());
     EXPECT_TRUE(db_.SetSingle(tuba_, family_, brass_).ok());
+    // The strategy is in effect: only a built index takes updates.
+    EXPECT_EQ(db_.stats().value_index_incremental_updates,
+              GetParam() ? 3 : 0);
   }
 
   Database db_;
@@ -138,20 +148,6 @@ TEST_P(GroupingTest, RenameMovesTheEntityToItsNewNameBlock) {
   EXPECT_TRUE(st.ok()) << st.ToString();
 }
 
-TEST_P(GroupingTest, StatsDistinguishMaintenanceStrategies) {
-  (void)db_.GroupingBlocks(by_family_);  // force initial build
-  std::int64_t builds_before = db_.stats().grouping_rebuilds;
-  ASSERT_TRUE(db_.SetSingle(cello_, family_, brass_).ok());
-  (void)db_.GroupingBlocks(by_family_);
-  if (GetParam()) {
-    // Incremental: no rebuild needed after the mutation.
-    EXPECT_EQ(db_.stats().grouping_rebuilds, builds_before);
-    EXPECT_GT(db_.stats().grouping_incremental_updates, 0);
-  } else {
-    EXPECT_GT(db_.stats().grouping_rebuilds, builds_before);
-  }
-}
-
 TEST_P(GroupingTest, RandomMutationSequenceMatchesOracle) {
   // Property: after any mutation sequence, blocks equal the from-scratch
   // derivation (the consistency checker is the oracle).
@@ -190,6 +186,60 @@ TEST_P(GroupingTest, RandomMutationSequenceMatchesOracle) {
     }
   }
   EXPECT_TRUE(ConsistencyChecker(db_).Check().ok());
+}
+
+/// The blocks of `g` derived from the value rows alone, the way the
+/// consistency checker derives them: never touches a value index.
+std::vector<GroupingBlock> DeriveBlocks(const Database& db, GroupingId g) {
+  const GroupingDef& def = db.schema().GetGrouping(g);
+  std::map<EntityId, EntitySet> acc;
+  for (EntityId x : db.Members(def.parent)) {
+    for (EntityId v : db.GetValueSet(x, def.on_attribute)) acc[v].insert(x);
+  }
+  std::vector<GroupingBlock> out;
+  for (auto& [index, members] : acc) {
+    out.push_back(GroupingBlock{index, std::move(members)});
+  }
+  return out;
+}
+
+bool SameBlocks(const std::vector<GroupingBlock>& a,
+                const std::vector<GroupingBlock>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].index != b[i].index || a[i].members != b[i].members) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST_P(GroupingTest, ConcurrentReadersBuildTheIndexOnce) {
+  // The server's shared phase: many readers, no writer. Build-then-publish
+  // under the database's mutex means an index no one has built yet
+  // (Recompute) is built by exactly one reader, a built one (Incremental)
+  // is never rebuilt, and every reader sees the same blocks.
+  const std::vector<GroupingBlock> serial = DeriveBlocks(db_, by_family_);
+  ASSERT_EQ(serial.size(), 2u);
+  const std::int64_t rebuilds = db_.stats().value_index_rebuilds;
+  constexpr int kReaders = 8;
+  std::vector<int> agreed(kReaders, 0);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      bool same = true;
+      for (int i = 0; i < 50; ++i) {
+        same = same && SameBlocks(db_.GroupingBlocks(by_family_), serial) &&
+               db_.GetGroupingBlock(by_family_, strings_) ==
+                   serial[0].members;
+      }
+      agreed[r] = same ? 1 : 0;
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  for (int r = 0; r < kReaders; ++r) EXPECT_EQ(agreed[r], 1) << "reader " << r;
+  EXPECT_EQ(db_.stats().value_index_rebuilds,
+            rebuilds + (GetParam() ? 0 : 1));
 }
 
 INSTANTIATE_TEST_SUITE_P(MaintenanceStrategies, GroupingTest,

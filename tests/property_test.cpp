@@ -40,40 +40,35 @@ TEST_P(SyntheticPropertyTest, GeneratedWorkspacesAreConsistent) {
 }
 
 TEST_P(SyntheticPropertyTest, IncrementalAndRecomputedGroupingsAgree) {
-  SyntheticParams inc = Params();
-  SyntheticParams rec = Params();
-  rec.incremental_groupings = false;
-  auto ws_inc = BuildSynthetic(inc);
-  auto ws_rec = BuildSynthetic(rec);
-  SyntheticHandles h = ResolveSynthetic(*ws_inc, inc);
+  // Groupings are read from the value indexes, which the mutation stream
+  // keeps up incrementally; the consistency checker recomputes every
+  // grouping from the rows and must agree after each step.
+  SyntheticParams p = Params();
+  auto ws = BuildSynthetic(p);
+  sdm::Database& db = ws->db();
+  SyntheticHandles h = ResolveSynthetic(*ws, p);
+  for (GroupingId g : h.groupings) (void)db.GroupingBlocks(g);  // warm
   Rng rng(GetParam() * 7 + 1);
-  // Apply the same mutation stream to both and compare all blocks.
   for (int step = 0; step < 120; ++step) {
     size_t ci = rng.Below(h.baseclasses.size());
-    const EntitySet& members = ws_inc->db().Members(h.baseclasses[ci]);
+    const EntitySet& members = db.Members(h.baseclasses[ci]);
     if (members.empty()) continue;
     auto it = members.begin();
     std::advance(it, rng.Below(members.size()));
     EntityId e = *it;
-    const EntitySet& values =
-        ws_inc->db().Members(ws_inc->db().schema()
-                                  .GetAttribute(h.single_attrs[ci])
-                                  .value_class);
+    const EntitySet& values = db.Members(
+        db.schema().GetAttribute(h.single_attrs[ci]).value_class);
     if (values.empty()) continue;
     auto vi = values.begin();
     std::advance(vi, rng.Below(values.size()));
-    ASSERT_TRUE(ws_inc->db().SetSingle(e, h.single_attrs[ci], *vi).ok());
-    ASSERT_TRUE(ws_rec->db().SetSingle(e, h.single_attrs[ci], *vi).ok());
-  }
-  for (GroupingId g : h.groupings) {
-    const auto& a = ws_inc->db().GroupingBlocks(g);
-    const auto& b = ws_rec->db().GroupingBlocks(g);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].index, b[i].index);
-      EXPECT_EQ(a[i].members, b[i].members);
+    ASSERT_TRUE(db.SetSingle(e, h.single_attrs[ci], *vi).ok());
+    if (step % 20 == 0) {
+      Status st = sdm::ConsistencyChecker(db).Check();
+      ASSERT_TRUE(st.ok()) << "step " << step << ": " << st.ToString();
     }
   }
+  Status st = sdm::ConsistencyChecker(db).Check();
+  EXPECT_TRUE(st.ok()) << st.ToString();
 }
 
 TEST_P(SyntheticPropertyTest, StoreRoundTripIsIdempotent) {

@@ -78,6 +78,22 @@ TEST_F(SchemaTest, InvalidNamesRejected) {
   EXPECT_FALSE(schema_.FindClass("ok_class").ok());
 }
 
+TEST_F(SchemaTest, RejectedBaseclassConsumesNoIdOrFillPattern) {
+  // A durable server logs only accepted commands, so recovery never sees
+  // the rejected call: the next class must come out the same either way.
+  EXPECT_TRUE(schema_.CreateBaseclass("b1", "bad`name")
+                  .status()
+                  .IsInvalidArgument());
+  ClassId after_rejection = *schema_.CreateBaseclass("b2", "name");
+  Schema fresh;
+  ClassId without_it = *fresh.CreateBaseclass("b2", "name");
+  EXPECT_EQ(after_rejection, without_it);
+  EXPECT_EQ(schema_.GetClass(after_rejection).fill_pattern,
+            fresh.GetClass(without_it).fill_pattern);
+  EXPECT_EQ(schema_.GetClass(after_rejection).own_attributes,
+            fresh.GetClass(without_it).own_attributes);
+}
+
 class SchemaTreeTest : public SchemaTest {
  protected:
   void SetUp() override {

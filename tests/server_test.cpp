@@ -17,6 +17,8 @@
 #include <atomic>
 #include <chrono>
 #include <iterator>
+#include <map>
+#include <regex>
 #include <set>
 #include <string>
 #include <thread>
@@ -1614,6 +1616,107 @@ TEST(ServerTest, FailedConstraintRedefinitionLeavesLiveEqualToRecovered) {
   WipeDurable(name);
 }
 
+/// A rejected `create baseclass` (bad naming-attribute name) is not logged,
+/// so it must not consume the class id and fill pattern the next class
+/// gets: after a crash, the recovered schema must equal the live one.
+TEST(ServerTest, RejectedCreateBaseclassLeavesRecoveredEqualToLive) {
+  const std::string name = "SrvBaseclass";
+  WipeDurable(name);
+  std::string live;
+  {
+    std::unique_ptr<Server> srv = OpenScaled(2, 64, DurableDir(), name);
+    RetryingClient client(
+        std::make_unique<LoopbackTransport>(srv.get(), "t"), RetryOptions());
+    ASSERT_TRUE(client.Connect().ok());
+    EXPECT_FALSE(Rejected(Gesture(client, "cmd create baseclass")));
+    EXPECT_FALSE(Rejected(Gesture(client, "type b1")));
+    const std::string message = Gesture(client, "type bad`name");
+    EXPECT_EQ(message.rfind("! InvalidArgument: invalid attribute name", 0),
+              0u)
+        << message;
+    for (const char* line : {"cmd create baseclass", "type b2", "type name"}) {
+      ASSERT_FALSE(Rejected(Gesture(client, line))) << line;
+    }
+    live = store::Save(srv->workspace());
+    // No Shutdown(): the destructor is the crash.
+  }
+  std::unique_ptr<Server> srv = OpenScaled(2, 64, DurableDir(), name);
+  const std::string recovered = store::Save(srv->workspace());
+  EXPECT_EQ(recovered, live) << FirstDiff(live, recovered);
+  srv->Shutdown();
+  WipeDurable(name);
+}
+
+/// Two sessions on one durable server: session A picks a selection, session
+/// B deletes one of its entities, then A's `command` acts on the stale
+/// selection. A must get an error, the database must not move, and a crash
+/// right after must recover exactly the live state (a rejected gesture is
+/// not logged, so anything it half-applied would be lost).
+void ExpectStaleSelectionChangesNothing(
+    const std::string& name, const std::vector<std::string>& a_picks,
+    const std::vector<std::string>& b_gestures, const std::string& command) {
+  WipeDurable(name);
+  std::string live;
+  {
+    std::unique_ptr<Server> srv = OpenScaled(2, 64, DurableDir(), name);
+    RetryingClient a(std::make_unique<LoopbackTransport>(srv.get(), "a"),
+                     RetryOptions());
+    RetryingClient b(std::make_unique<LoopbackTransport>(srv.get(), "b"),
+                     RetryOptions());
+    ASSERT_TRUE(a.Connect().ok());
+    ASSERT_TRUE(b.Connect().ok());
+    for (const std::string& line : a_picks) {
+      ASSERT_FALSE(Rejected(Gesture(a, line))) << "A: " << line;
+    }
+    for (const std::string& line : b_gestures) {
+      ASSERT_FALSE(Rejected(Gesture(b, line))) << "B: " << line;
+    }
+    const std::string before = store::Save(srv->workspace());
+    const std::string message = Gesture(a, command);
+    EXPECT_TRUE(Rejected(message)) << message;
+    live = store::Save(srv->workspace());
+    EXPECT_EQ(live, before) << "'" << command << "' half-applied: "
+                            << FirstDiff(before, live);
+    // No Shutdown(): the destructor is the crash.
+  }
+  std::unique_ptr<Server> srv = OpenScaled(2, 64, DurableDir(), name);
+  const std::string recovered = store::Save(srv->workspace());
+  EXPECT_EQ(recovered, live) << FirstDiff(live, recovered);
+  srv->Shutdown();
+  WipeDurable(name);
+}
+
+TEST(ServerTest, MakeSubclassOverAStaleSelectionChangesNothing) {
+  ExpectStaleSelectionChangesNothing(
+      "SrvStaleMake",
+      {"pick class:musicians", "cmd view contents", "pick member:musician0",
+       "cmd make subclass"},
+      {"pick class:musicians", "cmd view contents", "pick member:musician0",
+       "cmd delete entity"},
+      "type sub1");
+}
+
+TEST(ServerTest, AssignOverAStaleSelectionChangesNothing) {
+  ExpectStaleSelectionChangesNothing(
+      "SrvStaleAssign",
+      {"pick class:musicians", "cmd view contents", "pick member:musician0",
+       "pick member:musician1", "cmd follow", "pick attr:plays",
+       "pick member:inst3", "pick member:inst2"},
+      {"pick class:musicians", "cmd view contents", "pick member:musician1",
+       "cmd delete entity"},
+      "cmd (re)assign att. value");
+}
+
+TEST(ServerTest, DeleteEntityOverAStaleSelectionChangesNothing) {
+  ExpectStaleSelectionChangesNothing(
+      "SrvStaleDelete",
+      {"pick class:musicians", "cmd view contents", "pick member:musician0",
+       "pick member:musician1"},
+      {"pick class:musicians", "cmd view contents", "pick member:musician1",
+       "cmd delete entity"},
+      "cmd delete entity");
+}
+
 /// `save` in a shared session is refused like load/undo/redo: the server
 /// owns persistence, so a client can neither rename the shared workspace
 /// nor make the server write a file it names.
@@ -1632,6 +1735,131 @@ TEST(ServerTest, SaveIsRefusedInSharedSessions) {
   EXPECT_EQ(srv->workspace().name(), name);
   EXPECT_FALSE(env->Exists(escaped + ".isis"));
   (void)env->Remove(escaped + ".isis");
+  srv->Shutdown();
+}
+
+// --- Grouping pages under concurrent sessions. ---
+
+/// The sizes of the `family<k> {n}` block rows on a rendered by_family
+/// grouping page, keyed by family name.
+std::map<std::string, int> FamilyBlockSizes(const std::string& screen) {
+  static const std::regex kRow("(family[0-9]+) \\{([0-9]+)\\}");
+  std::map<std::string, int> out;
+  for (auto it = std::sregex_iterator(screen.begin(), screen.end(), kRow);
+       it != std::sregex_iterator(); ++it) {
+    out[(*it)[1]] = std::stoi((*it)[2]);
+  }
+  return out;
+}
+
+/// Sessions render the by_family grouping page under the shared lock while
+/// another session reassigns families. A grouping read walks the `family`
+/// value index the writer keeps current, so every render must show a whole
+/// grouping -- each instrument in exactly one block -- and once the writes
+/// stop, the blocks the server renders are the ones the rows derive.
+TEST(ServerTest, GroupingPagesRenderWhileAnotherSessionAssigns) {
+  std::unique_ptr<Server> srv = OpenScaled(4);
+  const sdm::Database& db = srv->workspace().db();
+  const ClassId instruments = *db.schema().FindClass("instruments");
+  const AttributeId family = *db.schema().FindAttribute(instruments, "family");
+  const std::vector<EntityId> insts(db.Members(instruments).begin(),
+                                    db.Members(instruments).end());
+  constexpr int kReaders = 3;
+  constexpr int kRenders = 40;
+  constexpr int kWrites = 40;
+
+  std::vector<std::unique_ptr<RetryingClient>> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.push_back(std::make_unique<RetryingClient>(
+        std::make_unique<LoopbackTransport>(srv.get(), "r"), RetryOptions()));
+    ASSERT_TRUE(readers.back()->Connect().ok());
+    for (const char* line : {"pick grouping:by_family", "cmd view contents"}) {
+      Result<Frame> ev = readers.back()->Call(MsgType::kEvent, line);
+      ASSERT_TRUE(ev.ok());
+      ASSERT_EQ(ev->type, MsgType::kScreen) << ev->payload;
+    }
+  }
+  RetryingClient writer(std::make_unique<LoopbackTransport>(srv.get(), "w"),
+                        RetryOptions());
+  ASSERT_TRUE(writer.Connect().ok());
+
+  std::vector<std::string> failures(kReaders);
+  std::vector<std::thread> threads;
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      for (int i = 0; i < kRenders && failures[r].empty(); ++i) {
+        Result<Frame> screen = readers[r]->Call(MsgType::kRender, "");
+        if (!screen.ok() || screen->type != MsgType::kScreen) {
+          failures[r] = "render failed";
+          break;
+        }
+        int placed = 0;
+        for (const auto& [name, size] : FamilyBlockSizes(screen->payload)) {
+          if (size == 0) failures[r] = "empty block " + name;
+          placed += size;
+        }
+        if (placed != static_cast<int>(insts.size())) {
+          failures[r] = "render placed " + std::to_string(placed) +
+                        " instruments:\n" + screen->payload;
+        }
+      }
+    });
+  }
+  Rng rng(11);
+  for (int i = 0; i < kWrites; ++i) {
+    ASSERT_TRUE(writer
+                    .Assign("instruments",
+                            "inst" + std::to_string(rng.Below(insts.size())),
+                            "family", "family" + std::to_string(rng.Below(8)))
+                    .ok());
+  }
+  for (std::thread& t : threads) t.join();
+  for (int r = 0; r < kReaders; ++r) EXPECT_EQ(failures[r], "") << r;
+
+  std::map<std::string, int> derived;
+  for (EntityId x : insts) ++derived[db.NameOf(db.GetSingle(x, family))];
+  Result<Frame> last = readers[0]->Call(MsgType::kRender, "");
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(FamilyBlockSizes(last->payload), derived);
+  srv->Shutdown();
+}
+
+/// A grouping on a naming attribute has no value index: its page lists the
+/// parent's members under their interned names. Creating an instrument
+/// interns nothing, so the first shared-lock render after it misses the
+/// intern table, is promoted to the exclusive lock, and lists the newcomer.
+TEST(ServerTest, NameGroupingPageListsAnInstrumentAnotherSessionCreated) {
+  std::unique_ptr<query::Workspace> ws = datasets::BuildScaledMusic(2);
+  sdm::Database& db = ws->db();
+  const ClassId instruments = *db.schema().FindClass("instruments");
+  const AttributeId name = *db.schema().FindAttribute(instruments, "name");
+  ASSERT_TRUE(db.CreateGrouping("by_name", instruments, name).ok());
+  ServerOptions options;
+  options.threads = 2;
+  Result<std::unique_ptr<Server>> opened =
+      Server::Open(std::move(ws), options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<Server> srv = std::move(opened).ValueOrDie();
+  RetryingClient a(std::make_unique<LoopbackTransport>(srv.get(), "a"),
+                   RetryOptions());
+  RetryingClient b(std::make_unique<LoopbackTransport>(srv.get(), "b"),
+                   RetryOptions());
+  ASSERT_TRUE(a.Connect().ok());
+  ASSERT_TRUE(b.Connect().ok());
+
+  EXPECT_FALSE(Rejected(Gesture(a, "pick grouping:by_name")));
+  EXPECT_FALSE(Rejected(Gesture(a, "cmd view contents")));
+  for (const char* line : {"pick class:instruments", "cmd view contents",
+                           "cmd create entity", "type newcomer"}) {
+    ASSERT_FALSE(Rejected(Gesture(b, line))) << line;
+  }
+  const std::int64_t promotions = srv->stats().Snapshot().promotions;
+  Result<Frame> screen = a.Call(MsgType::kRender, "");
+  ASSERT_TRUE(screen.ok());
+  ASSERT_EQ(screen->type, MsgType::kScreen) << screen->payload;
+  EXPECT_NE(screen->payload.find("newcomer {1}"), std::string::npos)
+      << screen->payload;
+  EXPECT_EQ(srv->stats().Snapshot().promotions, promotions + 1);
   srv->Shutdown();
 }
 

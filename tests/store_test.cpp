@@ -92,13 +92,21 @@ TEST(StoreTest, NamesNeedingEscapesRoundTrip) {
 
 TEST(StoreTest, OptionsRoundTrip) {
   sdm::Database::Options options;
-  options.incremental_groupings = false;
   options.schema.allow_multiple_parents = true;
+  options.live_views = true;
   Workspace ws(options);
-  auto loaded = Load(Save(ws));
+  const std::string saved = Save(ws);
+  auto loaded = Load(saved);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_FALSE((*loaded)->db().options().incremental_groupings);
   EXPECT_TRUE((*loaded)->db().schema().options().allow_multiple_parents);
+  EXPECT_TRUE((*loaded)->db().options().live_views);
+  // The first options slot is retired: always written as 1, and a file
+  // with 0 in it still loads.
+  ASSERT_NE(saved.find("options|1|1|1"), std::string::npos) << saved;
+  auto legacy = Load("ISIS|1\nname|" + ws.name() + "\noptions|0|1|1\nend\n");
+  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  EXPECT_TRUE((*legacy)->db().schema().options().allow_multiple_parents);
+  EXPECT_EQ(Save(**legacy), Save(**loaded));
 }
 
 TEST(StoreTest, FileRoundTrip) {
