@@ -1,7 +1,11 @@
 #include "common/strings.h"
 
+#include <bit>
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
+
+#include "common/endian.h"
 
 namespace isis {
 
@@ -59,24 +63,71 @@ bool IsValidName(std::string_view name) {
          !std::isspace(static_cast<unsigned char>(name.back()));
 }
 
+namespace {
+
+constexpr std::uint64_t kLowBits = 0x0101010101010101ull;
+constexpr std::uint64_t kHighBits = 0x8080808080808080ull;
+
+/// The high bit of each byte of `w` that equals `b`, plus possibly some
+/// bytes above the lowest such byte (the borrow of the zero-byte test
+/// (x - 0x01..) & ~x & 0x80.. runs upward). The lowest set bit is exact,
+/// and the mask is zero iff no byte equals `b`. With `w` loaded by
+/// LoadLe64, the lowest set bit is in the first matching byte.
+constexpr std::uint64_t ByteMatches(std::uint64_t w, unsigned char b) {
+  const std::uint64_t x = w ^ (kLowBits * b);
+  return (x - kLowBits) & ~x & kHighBits;
+}
+
+/// The character after the backslash that escapes `c`, or 0 when `c`
+/// stands for itself.
+char EscapeCode(char c) {
+  switch (c) {
+    case '\\':
+      return '\\';
+    case '\n':
+      return 'n';
+    case '|':
+      return 'p';
+    default:
+      return 0;
+  }
+}
+
+}  // namespace
+
 std::string Escape(std::string_view s) {
   std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '|':
-        out += "\\p";
-        break;
-      default:
-        out += c;
+  // Room for a few escapes (a rendered screen has one every ~28 bytes), so
+  // a typical input is escaped without reallocating.
+  out.reserve(s.size() + s.size() / 8);
+  // Bytes [run, i) need no escape and are appended in one piece at the
+  // next escape or at the end. Eight bytes at a time, the word test jumps
+  // straight to the first byte that needs one.
+  std::size_t run = 0;
+  std::size_t i = 0;
+  auto emit = [&](char code) {
+    out.append(s.data() + run, i - run);
+    out += '\\';
+    out += code;
+    run = i + 1;
+  };
+  while (s.size() - i >= 8) {
+    const std::uint64_t w = LoadLe64(s.data() + i);
+    const std::uint64_t m =
+        ByteMatches(w, '\\') | ByteMatches(w, '\n') | ByteMatches(w, '|');
+    if (m == 0) {
+      i += 8;
+      continue;
     }
+    i += static_cast<std::size_t>(std::countr_zero(m)) / 8;
+    emit(EscapeCode(s[i]));
+    ++i;
   }
+  for (; i < s.size(); ++i) {
+    const char code = EscapeCode(s[i]);
+    if (code != 0) emit(code);
+  }
+  out.append(s.data() + run, s.size() - run);
   return out;
 }
 

@@ -73,17 +73,19 @@ void Canvas::AddStyle(const Rect& r, std::uint8_t style) {
 }
 
 std::string Canvas::ToString() const {
-  std::string out;
-  out.reserve(static_cast<size_t>(width_ + 1) * height_);
+  // Sized for the untrimmed screen, filled through a pointer, then cut to
+  // what was written: no per-character capacity checks.
+  std::string out(static_cast<size_t>(width_ + 1) * height_, '\0');
+  char* dst = out.data();
   for (int y = 0; y < height_; ++y) {
-    size_t line_start = out.size();
-    for (int x = 0; x < width_; ++x) {
-      out += cells_[static_cast<size_t>(y) * width_ + x].ch;
-    }
+    const Cell* row = cells_.data() + static_cast<size_t>(y) * width_;
     // Trim trailing spaces for stable, diff-friendly screenshots.
-    while (out.size() > line_start && out.back() == ' ') out.pop_back();
-    out += '\n';
+    int end = width_;
+    while (end > 0 && row[end - 1].ch == ' ') --end;
+    for (int x = 0; x < end; ++x) *dst++ = row[x].ch;
+    *dst++ = '\n';
   }
+  out.resize(static_cast<size_t>(dst - out.data()));
   return out;
 }
 

@@ -34,7 +34,10 @@
 ///      thread and before the lane takes its next task. That is where a
 ///      durable write waits on its group-commit ticket
 ///      (store/group_commit.h): the fsync never blocks readers or the next
-///      writer, and concurrent writers' waits share one fsync.
+///      writer, and concurrent writers' waits share one fsync. Because the
+///      lane is still running, the continuation may read state only its
+///      own lane's tasks touch (the session's controller) without the
+///      database lock: every write serializes its reply there.
 ///
 /// Shutdown() closes submission, drains every queued task, waits for the
 /// inline runs in progress, then joins the workers -- accepted work always

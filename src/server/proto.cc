@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "common/endian.h"
 #include "common/strings.h"
 #include "store/crc32.h"
 
@@ -16,21 +17,9 @@ void PutU32(std::string* out, std::uint32_t v) {
   out->push_back(static_cast<char>((v >> 24) & 0xff));
 }
 
-std::uint32_t GetU32(const char* p) {
-  return static_cast<std::uint32_t>(static_cast<unsigned char>(p[0])) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(p[1])) << 8) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(p[2])) << 16) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(p[3])) << 24);
-}
-
 void PutU64(std::string* out, std::uint64_t v) {
   PutU32(out, static_cast<std::uint32_t>(v & 0xffffffffull));
   PutU32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint64_t GetU64(const char* p) {
-  return static_cast<std::uint64_t>(GetU32(p)) |
-         (static_cast<std::uint64_t>(GetU32(p + 4)) << 32);
 }
 
 /// Extension bytes a given flags byte selects.
@@ -137,9 +126,9 @@ DecodeResult DecodeFrame(const std::string& buf, Frame* out,
     if (error) *error = "unknown header flags";
     return DecodeResult::kError;
   }
-  std::uint32_t seq = GetU32(p + 4);
-  std::uint32_t len = GetU32(p + 8);
-  std::uint32_t crc = GetU32(p + 12);
+  std::uint32_t seq = LoadLe32(p + 4);
+  std::uint32_t len = LoadLe32(p + 8);
+  std::uint32_t crc = LoadLe32(p + 12);
   if (len > kMaxPayload) {
     if (error) *error = "payload too large";
     return DecodeResult::kError;
@@ -150,11 +139,11 @@ DecodeResult DecodeFrame(const std::string& buf, Frame* out,
   std::uint32_t deadline_ms = 0;
   std::uint64_t write_seq = 0;
   if (flags & kFlagDeadline) {
-    deadline_ms = GetU32(e);
+    deadline_ms = LoadLe32(e);
     e += 4;
   }
   if (flags & kFlagWriteSeq) {
-    write_seq = GetU64(e);
+    write_seq = LoadLe64(e);
     e += 8;
   }
   std::string_view payload(buf.data() + kHeaderSize + ext, len);

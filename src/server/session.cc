@@ -28,6 +28,12 @@ bool IsUnavailableResponse(const Frame& resp) {
          resp.payload.rfind("Unavailable|", 0) == 0;
 }
 
+/// A kScreen payload: the session's message line and the screen its last
+/// Render() left. Touches only the controller, never the database.
+std::string ScreenPayload(const ui::SessionController& ctrl) {
+  return JoinFields({ctrl.message(), ctrl.last_screen().canvas.ToString()});
+}
+
 }  // namespace
 
 // --- Session. ---
@@ -289,23 +295,16 @@ void Server::Finish(const Frame& req, const Frame& resp,
   done(resp);
 }
 
-PostLockFn Server::ReplyAfterCommit(store::GroupCommitter::Ticket ticket,
-                                    const Frame& req, Frame resp,
-                                    ResponseCallback done,
-                                    std::chrono::steady_clock::time_point t0) {
-  if (ticket.seq == 0) {
-    Finish(req, resp, done, t0);
-    return {};
-  }
-  return [this, ticket, req, resp = std::move(resp), done = std::move(done),
-          t0]() mutable {
-    // A failed commit leaves the mutation applied in memory but missing
-    // from the log, where recovery would lose it: the client hears the
-    // commit's error, never an OK that claims durability.
-    Status st = committer_->Wait(ticket);
-    LogIfError(st, "server WAL group commit");
-    Finish(req, st.ok() ? resp : ErrorFrame(req, st), done, t0);
-  };
+void Server::ReplyAfterCommit(store::GroupCommitter::Ticket ticket,
+                              const Frame& req, const Frame& resp,
+                              ResponseCallback& done,
+                              std::chrono::steady_clock::time_point t0) {
+  // A failed commit leaves the mutation applied in memory but missing from
+  // the log, where recovery would lose it: the client hears the commit's
+  // error, never an OK that claims durability.
+  Status st = ticket.seq == 0 ? Status::OK() : committer_->Wait(ticket);
+  LogIfError(st, "server WAL group commit");
+  Finish(req, st.ok() ? resp : ErrorFrame(req, st), done, t0);
 }
 
 // --- Request routing. ---
@@ -519,6 +518,8 @@ void Server::Route(std::int64_t session_id, const Frame& request,
       wal_type = "assign";
       wal_payload = request.payload;
     }
+    // Every path of this task answers from its post-lock continuation
+    // (executor rule 6), so no reply is built or sent under the writer lock.
     task = [this, s, request, done, t0, wal_type = std::move(wal_type),
             wal_payload = std::move(wal_payload)]() mutable -> PostLockFn {
       // A resend of the write we just applied (its response was lost in
@@ -528,8 +529,11 @@ void Server::Route(std::int64_t session_id, const Frame& request,
         stats_.RecordDedupHit();
         Frame resp = s->last_write_response();
         resp.seq = request.seq;
-        return ReplyAfterCommit(s->last_write_ticket(), request,
-                                std::move(resp), std::move(done), t0);
+        return [this, request, resp = std::move(resp),
+                ticket = s->last_write_ticket(), done = std::move(done),
+                t0]() mutable {
+          ReplyAfterCommit(ticket, request, resp, done, t0);
+        };
       }
       if (committer_ != nullptr) {
         // A failed WAL write is sticky, so nothing applied from here on
@@ -537,8 +541,10 @@ void Server::Route(std::int64_t session_id, const Frame& request,
         // database. Reads keep working.
         Status wal = committer_->status();
         if (!wal.ok()) {
-          Finish(request, ErrorFrame(request, wal), done, t0);
-          return {};
+          return [this, request, resp = ErrorFrame(request, wal),
+                  done = std::move(done), t0]() mutable {
+            Finish(request, resp, done, t0);
+          };
         }
       }
       bool log_wal = false;
@@ -573,11 +579,22 @@ void Server::Route(std::int64_t session_id, const Frame& request,
           stats_.RecordUnwaitedReply();
         }
       }
-      if (request.write_seq != 0) {
-        s->set_last_write(request.write_seq, resp, ticket);
-      }
-      return ReplyAfterCommit(wait ? ticket : store::GroupCommitter::Ticket{},
-                              request, std::move(resp), std::move(done), t0);
+      // The writer lock ends here. A gesture's screen is serialized after
+      // it: DoEvent left it rendered in the session's controller, which
+      // only this lane touches, and rule 6 runs the continuation before the
+      // lane's next task. The finished reply goes into the dedup window
+      // before the commit wait, so a resend gets the same bytes.
+      return [this, s, request, resp = std::move(resp), ticket, wait,
+              done = std::move(done), t0]() mutable {
+        if (resp.type == MsgType::kScreen) {
+          resp.payload = ScreenPayload(s->ctrl());
+        }
+        if (request.write_seq != 0) {
+          s->set_last_write(request.write_seq, resp, ticket);
+        }
+        ReplyAfterCommit(wait ? ticket : store::GroupCommitter::Ticket{},
+                         request, resp, done, t0);
+      };
     };
   } else {
     task = [this, s, request, done, t0]() mutable -> PostLockFn {
@@ -774,12 +791,13 @@ Frame Server::DoExplain(const Frame& req) {
 }
 
 Frame Server::DoRender(std::shared_ptr<Session> s, const Frame& req) {
-  const ui::Screen& screen = s->ctrl().Render();
+  // A read has no continuation, so it serializes under its shared lock,
+  // which holds back only writers.
+  s->ctrl().Render();
   Frame resp;
   resp.type = MsgType::kScreen;
   resp.seq = req.seq;
-  resp.payload =
-      JoinFields({s->ctrl().message(), screen.canvas.ToString()});
+  resp.payload = ScreenPayload(s->ctrl());
   return resp;
 }
 
@@ -795,12 +813,14 @@ Frame Server::DoEvent(std::shared_ptr<Session> s, const Frame& req,
   // rejected one must leave the database as it found it: recovery would
   // not reproduce its effect.
   if (st.ok() && log_wal != nullptr) *log_wal = true;
-  const ui::Screen& screen = s->ctrl().Render();
+  // Render is this handler's last step: it reads the database and may
+  // intern a name, so it needs the writer lock. The screen it leaves in
+  // the controller becomes this frame's payload in the task's post-lock
+  // continuation.
+  s->ctrl().Render();
   Frame resp;
   resp.type = MsgType::kScreen;
   resp.seq = req.seq;
-  resp.payload =
-      JoinFields({s->ctrl().message(), screen.canvas.ToString()});
   return resp;
 }
 

@@ -42,14 +42,16 @@
 /// Durability: a durable server logs every accepted event and assign in
 /// the WAL (`<dir>/<db>.server.wal`, records "sevent" = `<sid>|<event
 /// line>` and "assign") via group commit (store/group_commit.h, DESIGN.md
-/// §14): the exclusive task applies the write and *enqueues* the pre-built
-/// WAL record while holding the writer lock -- so WAL order equals apply
-/// order. A write that changed the database (query::Workspace::
-/// save_version moved; every assign counts) then waits for its commit
-/// ticket in a post-lock continuation, after the lock is released, and
-/// only then replies. A gesture that changed nothing but its own session's
-/// UI state -- pick, view, follow, pop -- replies at once; its record rides
-/// with the next commit that is waited on. That is safe because the log is
+/// §14): the exclusive task applies the write, renders the session's
+/// screen and *enqueues* the pre-built WAL record while holding the writer
+/// lock -- so WAL order equals apply order. Every write then replies from
+/// a post-lock continuation, after the lock is released: it serializes
+/// the rendered screen, stores the reply in the dedup window and, for a
+/// write that changed the database (query::Workspace::save_version moved;
+/// every assign counts), waits for its commit ticket before replying. A
+/// gesture that changed nothing but its own session's UI state -- pick,
+/// view, follow, pop -- replies without waiting; its record rides with the
+/// next commit that is waited on. That is safe because the log is
 /// one ordered prefix: a waited ticket makes every earlier record durable
 /// too, so no reply claiming a change is sent before the navigation it
 /// built on is on disk, while recovery discards session UI state and so
@@ -128,7 +130,11 @@ class Session {
       : id_(id), ctrl_(ws, live) {}
 
   std::int64_t id() const { return id_; }
-  /// Only tasks on this session's lane touch the controller.
+  /// Only tasks on this session's lane touch the controller. A task's
+  /// post-lock continuation may read it without the database lock -- a
+  /// gesture's screen is serialized there -- because the executor runs the
+  /// continuation before the lane takes its next task (executor.h, rule 6),
+  /// and the controller's screen and message line are the session's own.
   ui::SessionController& ctrl() { return ctrl_; }
 
   // Subscriptions and pending notifications are written by *other*
@@ -144,8 +150,8 @@ class Session {
   // write_seq, the response it produced and the commit ticket of its WAL
   // record (seq 0 when nothing was logged), so a resend is answered only
   // once that commit resolved -- with its error if it failed. Lane-serial
-  // -- only this session's exclusive tasks read or write it -- so no lock,
-  // like the controller.
+  // -- only this session's exclusive tasks and their continuations read or
+  // write it -- so no lock, like the controller.
   std::uint64_t last_write_seq() const { return last_write_seq_; }
   const Frame& last_write_response() const { return last_write_resp_; }
   store::GroupCommitter::Ticket last_write_ticket() const {
@@ -279,7 +285,10 @@ class Server {
   /// and belongs in the WAL. The *caller* owns the commit -- it enqueues
   /// the pre-built record on the group committer under the lock and, if
   /// save_version moved or the request is an assign, waits for the ticket
-  /// after releasing it; otherwise it replies without waiting.
+  /// after releasing it; otherwise it replies without waiting. An event's
+  /// kScreen frame comes back with an empty payload: the session's screen
+  /// is rendered but not yet serialized, which the caller does after the
+  /// lock.
   Frame HandleWriteLocked(std::shared_ptr<Session> s, const Frame& req,
                           bool* log_wal);
   Frame DoQuery(const Frame& req);
@@ -289,16 +298,16 @@ class Server {
   Frame DoAssign(const Frame& req, bool* log_wal);
   /// Fan out collected deltas to subscribed sessions (exclusive lock held).
   void FanOutDeltas();
-  /// Answers a write whose WAL record holds `ticket`. Seq 0 (nothing was
-  /// logged, or the write changed nothing durable and need not wait):
-  /// replies `resp` now and returns no continuation. Otherwise returns the
-  /// post-lock continuation that waits for the commit, then replies `resp`
-  /// -- or the commit's error, since an OK reply means the write is
-  /// durable.
-  PostLockFn ReplyAfterCommit(store::GroupCommitter::Ticket ticket,
-                              const Frame& req, Frame resp,
-                              ResponseCallback done,
-                              std::chrono::steady_clock::time_point t0);
+  /// Answers a write from its task's post-lock continuation, the only place
+  /// a write replies from. Seq 0 (nothing was logged, or the write changed
+  /// nothing durable and need not wait): replies `resp` at once. Otherwise
+  /// waits for the commit, then replies `resp` -- or the commit's error,
+  /// since an OK reply means the write is durable. May block on the fsync,
+  /// so it never runs under the database lock.
+  void ReplyAfterCommit(store::GroupCommitter::Ticket ticket,
+                        const Frame& req, const Frame& resp,
+                        ResponseCallback& done,
+                        std::chrono::steady_clock::time_point t0);
 
   std::shared_ptr<Session> FindSession(std::int64_t id) const;
   void Finish(const Frame& req, const Frame& resp, ResponseCallback& done,

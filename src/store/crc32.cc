@@ -2,29 +2,53 @@
 
 #include <array>
 
+#include "common/endian.h"
+
 namespace isis::store {
 
 namespace {
 
-std::array<std::uint32_t, 256> MakeTable() {
-  std::array<std::uint32_t, 256> table{};
+/// Slice-by-8 tables: kTables[0] is the classic bytewise table, and
+/// kTables[k][b] is the CRC of byte b followed by k zero bytes, so one
+/// lookup per byte of an 8-byte word advances the CRC over the whole word.
+using Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr Tables MakeTables() {
+  Tables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t prev = t[k - 1][i];
+      t[k][i] = (prev >> 8) ^ t[0][prev & 0xFFu];
+    }
+  }
+  return t;
 }
+
+constexpr Tables kTables = MakeTables();
 
 }  // namespace
 
 std::uint32_t Crc32(std::string_view data, std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> kTable = MakeTable();
+  const char* p = data.data();
+  std::size_t n = data.size();
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (unsigned char byte : data) {
-    c = kTable[(c ^ byte) & 0xFFu] ^ (c >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = c ^ LoadLe32(p);
+    const std::uint32_t hi = LoadLe32(p + 4);
+    c = kTables[7][lo & 0xFFu] ^ kTables[6][(lo >> 8) & 0xFFu] ^
+        kTables[5][(lo >> 16) & 0xFFu] ^ kTables[4][lo >> 24] ^
+        kTables[3][hi & 0xFFu] ^ kTables[2][(hi >> 8) & 0xFFu] ^
+        kTables[1][(hi >> 16) & 0xFFu] ^ kTables[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    c = kTables[0][(c ^ static_cast<unsigned char>(*p)) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

@@ -4,6 +4,11 @@
 /// Every persistent record — checkpoint lines and WAL frames — carries a
 /// CRC so a torn or bit-flipped write is detected at load time with a
 /// precise record-level error instead of a downstream parse mystery.
+///
+/// Computed slice-by-8 (eight table lookups per 8-byte word, words
+/// assembled byte by byte so the host's byte order does not matter). The
+/// values are those of the classic bytewise algorithm, so checkpoints, WAL
+/// frames and wire frames written by either read back under the other.
 
 #ifndef ISIS_STORE_CRC32_H_
 #define ISIS_STORE_CRC32_H_

@@ -196,8 +196,8 @@ void SessionController::RotateWalForLoad() {
   wal_event_logged_ = true;
   std::vector<store::WalRecord> records;
   records.push_back({"base", store::Save(*ws_)});
-  // The journal survives loads, so carry it into the new log as notes —
-  // recovery rebuilds it without replaying pre-load events.
+  // The journal survives loads, so carry its retained window into the new
+  // log as notes — recovery rebuilds it without replaying pre-load events.
   for (const JournalEntry& e : journal_.entries()) {
     records.push_back({"note", Escape(e.action) + "|" + Escape(e.detail)});
   }

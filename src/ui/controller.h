@@ -93,6 +93,9 @@ class SessionController {
 
   /// Renders the current view (also refreshes the pick hit-map).
   const Screen& Render();
+  /// The screen the last Render() produced, without rendering again (a
+  /// blank canvas before the first). Reads no database state.
+  const Screen& last_screen() const { return screen_; }
 
   /// Interprets one event. Unknown targets and illegal commands set an
   /// error message (shown in the text window) and return the error; the
@@ -114,7 +117,8 @@ class SessionController {
 
   /// The session's design journal (§5: "keep track of the history of a
   /// database design"). Records every successful design action; not rolled
-  /// back by undo (the undo itself is recorded).
+  /// back by undo (the undo itself is recorded). Keeps the most recent
+  /// DesignJournal::kRetained entries.
   const DesignJournal& journal() const { return journal_; }
 
   /// The live-view engine, if the database was opened with
@@ -142,7 +146,7 @@ class SessionController {
   void WalFlushBatch();
   /// After a successful `load`, the old log no longer describes the
   /// workspace: start a fresh one whose base is the just-loaded state,
-  /// carrying the journal forward as notes.
+  /// carrying the journal's retained window forward as notes.
   void RotateWalForLoad();
 
   // Event handlers.

@@ -2,19 +2,20 @@
 
 namespace isis::ui {
 
-int DesignJournal::Record(std::string action, std::string detail) {
+std::int64_t DesignJournal::Record(std::string action, std::string detail) {
   JournalEntry entry;
   entry.seq = next_seq_++;
   entry.action = std::move(action);
   entry.detail = std::move(detail);
   entries_.push_back(std::move(entry));
+  if (entries_.size() > kRetained) entries_.pop_front();
   return entries_.back().seq;
 }
 
-std::string DesignJournal::Render(size_t n) const {
+std::string DesignJournal::Render(std::size_t n) const {
   std::string out;
-  size_t first = entries_.size() > n ? entries_.size() - n : 0;
-  for (size_t i = first; i < entries_.size(); ++i) {
+  std::size_t first = entries_.size() > n ? entries_.size() - n : 0;
+  for (std::size_t i = first; i < entries_.size(); ++i) {
     if (!out.empty()) out += "\n";
     out += "#" + std::to_string(entries_[i].seq) + " " + entries_[i].action;
     if (!entries_[i].detail.empty()) out += ": " + entries_[i].detail;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "gfx/canvas.h"
 #include "gfx/pattern.h"
@@ -46,6 +47,53 @@ TEST(CanvasTest, ToStringTrimsTrailingSpaces) {
   Canvas c(8, 2);
   c.Text(0, 0, "hi");
   EXPECT_EQ(c.ToString(), "hi\n\n");
+}
+
+/// ToString's definition, cell by cell through the public accessors: each
+/// row's characters with trailing spaces trimmed, then a newline.
+std::string ReferenceToString(const Canvas& c) {
+  std::string out;
+  for (int y = 0; y < c.height(); ++y) {
+    std::string row;
+    for (int x = 0; x < c.width(); ++x) row += c.At(x, y).ch;
+    while (!row.empty() && row.back() == ' ') row.pop_back();
+    out += row + "\n";
+  }
+  return out;
+}
+
+TEST(CanvasTest, ToStringMatchesReferenceOnEdgeRows) {
+  // Rows that trim to nothing, rows with no trailing space at all (the
+  // last cell set), interior spaces that must survive, and a space-only
+  // row between full ones.
+  Canvas c(17, 5);
+  c.HLine(0, 0, 17, '#');
+  c.Text(0, 2, "a  b", kBold);
+  c.Put(16, 3, 'z');
+  c.Text(3, 4, "  ");
+  EXPECT_EQ(c.ToString(), ReferenceToString(c));
+  EXPECT_EQ(c.ToString(),
+            "#################\n"
+            "\n"
+            "a  b\n"
+            "                z\n"
+            "\n");
+
+  Canvas blank(132, 40);
+  EXPECT_EQ(blank.ToString(), std::string(40, '\n'));
+  blank.Fill(Rect{0, 0, 132, 40}, 'x');
+  EXPECT_EQ(blank.ToString(), ReferenceToString(blank));
+  EXPECT_EQ(blank.ToString().size(), 133u * 40u);
+}
+
+TEST(CanvasTest, ToStringOfAWidthOneCanvas) {
+  Canvas c(1, 4);
+  c.Put(0, 1, 'a');
+  c.Put(0, 3, 'b');
+  EXPECT_EQ(c.ToString(), "\na\n\nb\n");
+  EXPECT_EQ(c.ToString(), ReferenceToString(c));
+  // Dimensions below one clamp to a single cell.
+  EXPECT_EQ(Canvas(0, 0).ToString(), "\n");
 }
 
 TEST(CanvasTest, BoxDrawsBorders) {

@@ -22,6 +22,24 @@ TEST(DesignJournalTest, RecordsWithMonotonicSequence) {
   EXPECT_EQ(j.entries()[1].seq, 2);
 }
 
+TEST(DesignJournalTest, KeepsTheMostRecentWindowAndCountsEverything) {
+  constexpr std::size_t kN = DesignJournal::kRetained;
+  DesignJournal j;
+  for (std::size_t i = 1; i <= 3 * kN; ++i) {
+    EXPECT_EQ(j.Record("assign", "walk " + std::to_string(i)),
+              static_cast<std::int64_t>(i));
+  }
+  EXPECT_EQ(j.size(), 3 * kN);
+  ASSERT_EQ(j.entries().size(), kN);
+  EXPECT_EQ(j.entries().back().seq, static_cast<std::int64_t>(3 * kN));
+  EXPECT_EQ(j.entries().front().seq, static_cast<std::int64_t>(2 * kN + 1));
+  EXPECT_EQ(j.entries().front().detail, "walk " + std::to_string(2 * kN + 1));
+  EXPECT_EQ(j.Render(1), "#" + std::to_string(3 * kN) + " assign: walk " +
+                             std::to_string(3 * kN));
+  EXPECT_EQ(j.Find("walk " + std::to_string(2 * kN)).size(), 0u)
+      << "dropped entries are not searched";
+}
+
 TEST(DesignJournalTest, RenderShowsLastN) {
   DesignJournal j;
   for (int i = 0; i < 5; ++i) {

@@ -29,6 +29,7 @@
 #include "common/sync.h"
 #include "datasets/instrumental_music.h"
 #include "datasets/scaled_music.h"
+#include "input/event.h"
 #include "query/eval.h"
 #include "query/parser.h"
 #include "server/executor.h"
@@ -192,6 +193,14 @@ class Gate {
   void Wait() {
     isis::MutexLock lock(mu_);
     cv_.Wait(lock, [this] {
+      mu_.AssertHeld();
+      return open_;
+    });
+  }
+  /// Wait() bounded by `timeout`; false if the gate is still shut.
+  bool WaitFor(std::chrono::milliseconds timeout) {
+    isis::MutexLock lock(mu_);
+    return cv_.WaitFor(lock, timeout, [this] {
       mu_.AssertHeld();
       return open_;
     });
@@ -1464,6 +1473,218 @@ TEST(ServerTest, WaitedReplyCoversEveryEarlierRecordAndCrashLosesOnlyUiState) {
   EXPECT_EQ(store::Save(srv->workspace()), live);
   srv->Shutdown();
   WipeDurable(name);
+}
+
+// --- Where replies are built. ---
+
+/// An in-memory server over the §4.1 instrumental-music database, the one
+/// the REPL gestures below are written against.
+std::unique_ptr<Server> OpenMusic() {
+  ServerOptions options;
+  options.threads = 2;
+  Result<std::unique_ptr<Server>> opened =
+      Server::Open(datasets::BuildInstrumentalMusic(), options);
+  EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+  return std::move(opened).ValueOrDie();
+}
+
+/// A gesture's screen is serialized after the writer lock, from the
+/// session's last render; the dedup window must still hold the bytes the
+/// first application answered, not a re-serialization of whatever the
+/// session rendered since.
+TEST(ServerTest, ResentEventGetsTheByteIdenticalScreen) {
+  std::unique_ptr<Server> srv = OpenMusic();
+  LoopbackTransport wire(srv.get(), "a");
+  ASSERT_TRUE(wire.Reconnect(-1).ok());
+  RetryingClient other(std::make_unique<LoopbackTransport>(srv.get(), "b"),
+                       RetryOptions());
+  ASSERT_TRUE(other.Connect().ok());
+
+  Result<Frame> pick =
+      wire.CallFrame(Frame{MsgType::kEvent, 1, "pick class:musicians"});
+  ASSERT_TRUE(pick.ok());
+  Frame view{MsgType::kEvent, 2, "cmd view contents"};
+  view.write_seq = 7;
+  Result<Frame> first = wire.CallFrame(view);
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ(first->type, MsgType::kScreen) << first->payload;
+
+  // Another session adds a member to the page; this session re-renders, so
+  // its controller's last screen now lists the newcomer.
+  for (const char* line : {"pick class:musicians", "cmd view contents",
+                           "cmd create entity", "type Zelda"}) {
+    Result<Frame> r = other.Call(MsgType::kEvent, line);
+    ASSERT_TRUE(r.ok());
+    ASSERT_EQ(r->type, MsgType::kScreen) << line;
+  }
+  Result<Frame> render = wire.CallFrame(Frame{MsgType::kRender, 3, ""});
+  ASSERT_TRUE(render.ok());
+  EXPECT_NE(render->payload.find("Zelda"), std::string::npos);
+
+  Frame resend{MsgType::kEvent, 4, "cmd view contents"};
+  resend.write_seq = 7;
+  Result<Frame> again = wire.CallFrame(resend);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->type, MsgType::kScreen);
+  EXPECT_EQ(again->seq, 4u) << "cached response must carry the new seq";
+  EXPECT_EQ(again->payload, first->payload);
+  EXPECT_EQ(again->payload.find("Zelda"), std::string::npos);
+  EXPECT_EQ(srv->stats().Snapshot().dedup_hits, 1);
+  srv->Shutdown();
+}
+
+/// The assign walk of the benchmark's gesture workload, ending back at the
+/// inheritance forest.
+const char* const kAssignWalk[] = {
+    "pick class:musicians", "cmd view contents", "pick member:Ray",
+    "cmd follow",           "pick attr:plays",   "pick member:violin",
+    "cmd (re)assign att. value", "cmd pop",      "cmd pop",
+};
+
+/// A gesture's reply is the screen the session renders next, byte for
+/// byte: serializing after the lock reads the render the gesture made
+/// under it. In memory, and durable, where the assign waits for its commit
+/// after serializing.
+TEST(ServerTest, GestureReplyEqualsTheNextRender) {
+  const std::string name = "SrvReplyRender";
+  WipeDurable(name);
+  for (bool durable : {false, true}) {
+    std::unique_ptr<Server> srv =
+        durable ? OpenDurableMusic(name) : OpenMusic();
+    ASSERT_NE(srv, nullptr);
+    RetryingClient client(
+        std::make_unique<LoopbackTransport>(srv.get(), "t"), RetryOptions());
+    ASSERT_TRUE(client.Connect().ok());
+    for (const char* line : kAssignWalk) {
+      const std::int64_t unwaited0 = srv->stats().Snapshot().unwaited_replies;
+      Result<Frame> reply = client.Call(MsgType::kEvent, line);
+      ASSERT_TRUE(reply.ok());
+      ASSERT_EQ(reply->type, MsgType::kScreen)
+          << line << ": " << reply->payload;
+      EXPECT_FALSE(Rejected(SplitFields(reply->payload)[0])) << line;
+      if (durable && std::string(line) == "cmd (re)assign att. value") {
+        EXPECT_EQ(srv->stats().Snapshot().unwaited_replies, unwaited0)
+            << "the assign gesture must have waited for its commit";
+      }
+      Result<Frame> render = client.Call(MsgType::kRender, "");
+      ASSERT_TRUE(render.ok());
+      EXPECT_EQ(reply->payload, render->payload)
+          << (durable ? "durable" : "in memory") << ", after '" << line << "'";
+    }
+    if (durable) {
+      EXPECT_GT(srv->stats().Snapshot().unwaited_replies, 0)
+          << "navigation gestures reply without waiting";
+    }
+    srv->Shutdown();
+  }
+  WipeDurable(name);
+}
+
+/// The same gestures answer the same bytes whether the request runs to
+/// completion on the caller's thread (Call) or is queued and answered by a
+/// worker (HandleFrame): both reply from the task's continuation.
+TEST(ServerTest, QueuedAndInlineGesturesAnswerTheSameBytes) {
+  std::unique_ptr<Server> srv = OpenMusic();
+  LoopbackTransport inline_client(srv.get(), "inline");
+  LoopbackTransport queued_client(srv.get(), "queued");
+  ASSERT_TRUE(inline_client.Reconnect(-1).ok());
+  ASSERT_TRUE(queued_client.Reconnect(-1).ok());
+  std::uint32_t seq = 10;
+  for (const char* line : kAssignWalk) {
+    const Frame request{MsgType::kEvent, ++seq, line};
+    const std::int64_t inline0 = srv->stats().Snapshot().inline_runs;
+    Result<Frame> called = srv->Call(inline_client.session_id(), request);
+    ASSERT_TRUE(called.ok());
+    ASSERT_EQ(called->type, MsgType::kScreen) << line;
+    EXPECT_EQ(srv->stats().Snapshot().inline_runs, inline0 + 1) << line;
+
+    Gate answered;
+    Frame queued;
+    std::thread::id answered_on;
+    srv->HandleFrame(queued_client.session_id(), request,
+                     [&](const Frame& resp) {
+                       queued = resp;
+                       answered_on = std::this_thread::get_id();
+                       answered.Open();
+                     });
+    answered.Wait();
+    EXPECT_NE(answered_on, std::this_thread::get_id()) << line;
+    EXPECT_EQ(queued.seq, request.seq);
+    EXPECT_EQ(queued.payload, called->payload) << "after '" << line << "'";
+  }
+  srv->Shutdown();
+}
+
+/// A gesture's reply is delivered after its writer lock is released: while
+/// the response callback of a queued gesture runs, a read from another
+/// session gets the shared lock. (A reply sent from inside the exclusive
+/// section would hold that read off until the callback returned.)
+TEST(ServerTest, GestureReplyIsSentAfterTheWriterLockIsReleased) {
+  std::unique_ptr<Server> srv = OpenMusic();
+  LoopbackTransport writer(srv.get(), "writer");
+  LoopbackTransport reader(srv.get(), "reader");
+  ASSERT_TRUE(writer.Reconnect(-1).ok());
+  ASSERT_TRUE(reader.Reconnect(-1).ok());
+  const Frame query{MsgType::kQuery, 2,
+                    JoinFields({"musicians", "e.plays ]= {violin}"})};
+
+  Gate read_answered;
+  Gate replied;
+  bool read_during_reply = false;
+  std::thread read_thread;
+  srv->HandleFrame(writer.session_id(),
+                   Frame{MsgType::kEvent, 1, "pick class:musicians"},
+                   [&](const Frame& resp) {
+                     EXPECT_EQ(resp.type, MsgType::kScreen);
+                     read_thread = std::thread([&] {
+                       Result<Frame> r = srv->Call(reader.session_id(), query);
+                       EXPECT_TRUE(r.ok());
+                       read_answered.Open();
+                     });
+                     read_during_reply =
+                         read_answered.WaitFor(std::chrono::seconds(5));
+                     replied.Open();
+                   });
+  replied.Wait();
+  read_thread.join();
+  EXPECT_TRUE(read_during_reply)
+      << "the reply was sent while the writer lock was still held";
+  srv->Shutdown();
+}
+
+/// A session's design journal keeps only the most recent
+/// DesignJournal::kRetained entries, however many assign walks it runs,
+/// while `show history` still counts every one. A journal that kept them
+/// all made server memory grow with uptime.
+TEST(ServerTest, SessionJournalKeepsTheRecentWindow) {
+  std::unique_ptr<query::Workspace> ws = datasets::BuildInstrumentalMusic();
+  Session session(1, ws.get(), /*live=*/nullptr);
+  auto gesture = [&session](const std::string& line) {
+    Result<input::Event> ev = input::DecodeEvent(line);
+    ASSERT_TRUE(ev.ok()) << line;
+    ASSERT_TRUE(session.ctrl().HandleEvent(*ev).ok())
+        << line << ": " << session.ctrl().message();
+  };
+  constexpr std::size_t kWalks = ui::DesignJournal::kRetained + 16;
+  for (std::size_t i = 0; i < kWalks; ++i) {
+    for (const char* line : kAssignWalk) gesture(line);
+  }
+  const ui::DesignJournal& journal = session.ctrl().journal();
+  EXPECT_EQ(journal.size(), kWalks);
+  EXPECT_EQ(journal.entries().size(), ui::DesignJournal::kRetained);
+  EXPECT_EQ(journal.entries().back().seq, static_cast<std::int64_t>(kWalks));
+  EXPECT_EQ(journal.entries().back().action, "(re)assign att. value");
+
+  gesture("cmd show history");
+  const std::string& message = session.ctrl().message();
+  EXPECT_EQ(message.rfind("history (last of " + std::to_string(kWalks) + "): ",
+                          0),
+            0u)
+      << message;
+  EXPECT_NE(message.find("#" + std::to_string(kWalks) +
+                         " (re)assign att. value"),
+            std::string::npos)
+      << message;
 }
 
 /// A live-views server's log replays with the server's own engine attached,

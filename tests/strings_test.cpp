@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string_view>
+
+#include "common/rng.h"
 #include "common/strings.h"
 
 namespace isis {
@@ -73,6 +77,75 @@ TEST(EscapeTest, EscapedFormHasNoSeparators) {
   std::string escaped = Escape("a|b\nc");
   EXPECT_EQ(escaped.find('|'), std::string::npos);
   EXPECT_EQ(escaped.find('\n'), std::string::npos);
+}
+
+/// The per-character definition Escape's word-at-a-time loop must match.
+std::string ReferenceEscape(std::string_view s) {
+  std::string out;
+  for (char c : s) {
+    if (c == '\\') {
+      out += "\\\\";
+    } else if (c == '\n') {
+      out += "\\n";
+    } else if (c == '|') {
+      out += "\\p";
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+/// `n` seeded bytes, about one in three a byte Escape rewrites; the rest
+/// are any byte at all, so the neighbours of the special values in every
+/// bit position (0x0b, 0x5d, 0x7d, 0xfc, ...) turn up too.
+std::string DenseSpecials(std::uint64_t seed, std::size_t n) {
+  Rng rng(seed);
+  std::string out(n, '\0');
+  for (char& c : out) {
+    switch (rng.Below(9)) {
+      case 0:
+        c = '\\';
+        break;
+      case 1:
+        c = '\n';
+        break;
+      case 2:
+        c = '|';
+        break;
+      default:
+        c = static_cast<char>(rng.Below(256));
+    }
+  }
+  return out;
+}
+
+TEST(EscapeTest, MatchesPerCharReferenceAtEveryLengthAndOffset) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const std::string buf = DenseSpecials(seed, 40 + 8);
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      for (std::size_t len = 0; len <= 40; ++len) {
+        const std::string_view s(buf.data() + offset, len);
+        const std::string escaped = Escape(s);
+        EXPECT_EQ(escaped, ReferenceEscape(s))
+            << "seed " << seed << " offset " << offset << " length " << len;
+        EXPECT_EQ(Unescape(escaped), s)
+            << "seed " << seed << " offset " << offset << " length " << len;
+      }
+    }
+  }
+}
+
+TEST(EscapeTest, OneSpecialAnywhereInPlainText) {
+  // Long plain runs are copied a word at a time; a single special byte at
+  // any position, in any word, must still be found.
+  for (char special : {'\\', '\n', '|'}) {
+    for (std::size_t at = 0; at < 33; ++at) {
+      std::string s(33, 'x');
+      s[at] = special;
+      EXPECT_EQ(Escape(s), ReferenceEscape(s)) << "at " << at;
+    }
+  }
 }
 
 TEST(UnescapeTest, MalformedDecodesToQuestionMark) {
