@@ -9,7 +9,8 @@
 ///
 ///   {"name":"predicate_planner","op":"equality_single","scale":64,
 ///    "result_size":...,"probes":...,"prefiltered":...,"scanned":...,
-///    "planned_ns":...,"naive_ns":...,"speedup":...}
+///    "planned_ns":...,"naive_ns":...,"speedup":...,
+///    "planned_allocs_per_eval":...,"naive_allocs_per_eval":...}
 ///
 /// ops:
 ///   equality_single    e.family = {f}          singlevalued equality probe
@@ -22,19 +23,40 @@
 ///                      both disjuncts answered set-at-a-time
 ///
 /// `probes` counts value-index probes issued per planned run,
-/// `prefiltered`/`scanned` are the planner's own stage counters. Both
+/// `prefiltered`/`scanned` are the planner's own stage counters, and
+/// `*_allocs_per_eval` the heap allocations one evaluation makes, counted
+/// by this binary's own replacement of the global operator new. Both
 /// paths' results are compared every iteration; a mismatch aborts. A
 /// custom main (not Google Benchmark): the JSON-lines contract is the
 /// point, and one process run doubles as the CI smoke test.
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <new>
 #include <vector>
 
 #include "datasets/scaled_music.h"
 #include "query/eval.h"
 #include "query/plan.h"
+
+namespace {
+/// Every heap allocation of this process (see operator new below).
+std::atomic<long long> g_allocs{0};
+}  // namespace
+
+// Not inlined: g++ would otherwise see malloc() and free() at the call
+// sites of `new` and `delete` and warn that they are mismatched.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -71,19 +93,25 @@ void RunCase(const char* op, const Database& db, const Predicate& pred,
   if (planned.EvaluateSubclass(pred, v) != want) std::abort();
 
   const std::int64_t probes_before = db.stats().value_index_probes;
+  long long allocs_before = g_allocs.load();
   auto t0 = Clock::now();
   for (int i = 0; i < iters; ++i) {
     if (planned.EvaluateSubclass(pred, v).size() != want.size()) std::abort();
   }
   const double planned_ns = NsSince(t0) / iters;
+  const double planned_allocs =
+      static_cast<double>(g_allocs.load() - allocs_before) / iters;
   const long long probes = static_cast<long long>(
       (db.stats().value_index_probes - probes_before) / iters);
 
+  allocs_before = g_allocs.load();
   t0 = Clock::now();
   for (int i = 0; i < iters; ++i) {
     if (naive.EvaluateSubclass(pred, v).size() != want.size()) std::abort();
   }
   const double naive_ns = NsSince(t0) / iters;
+  const double naive_allocs =
+      static_cast<double>(g_allocs.load() - allocs_before) / iters;
 
   // Stage counters from one instrumented run.
   PlannedPredicate plan(db, pred, v);
@@ -93,11 +121,12 @@ void RunCase(const char* op, const Database& db, const Predicate& pred,
       "{\"name\":\"predicate_planner\",\"op\":\"%s\",\"scale\":%d,"
       "\"result_size\":%lld,\"probes\":%lld,\"prefiltered\":%lld,"
       "\"scanned\":%lld,\"planned_ns\":%.0f,\"naive_ns\":%.0f,"
-      "\"speedup\":%.2f}\n",
+      "\"speedup\":%.2f,\"planned_allocs_per_eval\":%.1f,"
+      "\"naive_allocs_per_eval\":%.1f}\n",
       op, scale, static_cast<long long>(want.size()), probes,
       static_cast<long long>(plan.stats().after_prefilter),
       static_cast<long long>(plan.stats().scanned), planned_ns, naive_ns,
-      naive_ns / planned_ns);
+      naive_ns / planned_ns, planned_allocs, naive_allocs);
   std::fflush(stdout);
 }
 

@@ -170,22 +170,17 @@ Status Evaluator::TypeCheckAssignment(const Term& term, ClassId owner,
 }
 
 EntitySet Evaluator::EvalTerm(const Term& term, EntityId e, EntityId x) const {
-  EntitySet start;
   switch (term.origin) {
     case Operand::kCandidate:
-      start = {e};
-      break;
+      return db_.EvaluateMap(e, term.path);
     case Operand::kSelf:
-      start = {x};
-      break;
+      return db_.EvaluateMap(x, term.path);
     case Operand::kConstant:
-      start = term.constants;
-      break;
+      return db_.EvaluateMap(term.constants, term.path);
     case Operand::kClassExtent:
-      start = db_.Members(term.extent_class);
-      break;
+      return db_.EvaluateMap(db_.Members(term.extent_class), term.path);
   }
-  return db_.EvaluateMap(start, term.path);
+  return {};
 }
 
 std::optional<int> Evaluator::OrderEntities(EntityId a, EntityId b) const {
@@ -366,7 +361,10 @@ EntitySet Evaluator::EvaluateSubclass(const Predicate& pred, ClassId v,
   }
   std::unordered_map<const Term*, EntitySet> hoisted = HoistExtents(pred);
   EntitySet out;
-  for (EntityId e : candidates) {
+  // By index, as PlannedPredicate::Evaluate scans: evaluation may intern a
+  // name string, appending to `candidates` when they are STRING's members.
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const EntityId e = candidates.begin()[i];
     if (EvalPredicateWith(pred, e, kNullEntity, hoisted)) out.insert(e);
   }
   return out;
@@ -380,7 +378,9 @@ EntitySet Evaluator::EvaluateAttributeFor(const Predicate& pred, ClassId v,
   }
   std::unordered_map<const Term*, EntitySet> hoisted = HoistExtents(pred);
   EntitySet out;
-  for (EntityId e : db_.Members(v)) {
+  const EntitySet& candidates = db_.Members(v);
+  for (std::size_t i = 0; i < candidates.size(); ++i) {  // By index: above.
+    const EntityId e = candidates.begin()[i];
     if (EvalPredicateWith(pred, e, x, hoisted)) out.insert(e);
   }
   return out;

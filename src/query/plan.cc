@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
+#include <span>
 
 #include "query/eval.h"
 
@@ -114,12 +116,25 @@ PlannedPredicate::PlannedPredicate(const sdm::Database& db,
                      return cnf ? a.est_selectivity < b.est_selectivity
                                 : a.est_selectivity > b.est_selectivity;
                    });
+  std::size_t cand_terms = 0;
+  std::size_t self_terms = 0;
   for (const ClausePlan& cp : clauses_) {
     if (cp.probe_only) ++stats_.probe_clauses;
     for (const AtomPlan& a : cp.atoms) {
-      if (a.probe) ++stats_.probe_atoms;
+      if (a.probe) {
+        ++stats_.probe_atoms;
+        continue;
+      }
+      const Atom& atom = pred_.atoms[a.atom_index];
+      for (const Term* t : {&atom.lhs, &atom.rhs}) {
+        cand_terms += t->origin == Operand::kCandidate ? 1 : 0;
+        self_terms += t->origin == Operand::kSelf ? 1 : 0;
+      }
     }
   }
+  // Scan atoms are the only TermImage callers; at most one slot per term.
+  memos_.cand.reserve(cand_terms);
+  memos_.self.reserve(self_terms);
 }
 
 AtomPlan PlannedPredicate::AnalyzeAtom(int atom_index) {
@@ -215,9 +230,9 @@ const EntitySet& PlannedPredicate::AtomMatched(AtomPlan* ap) {
         first = false;
       } else {
         EntitySet kept;
-        for (EntityId e : ap->matched) {
-          if (block.count(e) > 0) kept.insert(e);
-        }
+        std::set_intersection(ap->matched.begin(), ap->matched.end(),
+                              block.begin(), block.end(),
+                              std::inserter(kept, kept.end()));
         ap->matched = std::move(kept);
       }
       if (ap->matched.empty()) break;
@@ -245,9 +260,9 @@ const EntitySet& PlannedPredicate::ClauseMatched(ClausePlan* cp) {
     } else {
       // AND of probe atoms: intersection.
       EntitySet kept;
-      for (EntityId e : cp->matched) {
-        if (m.count(e) > 0) kept.insert(e);
-      }
+      std::set_intersection(cp->matched.begin(), cp->matched.end(),
+                            m.begin(), m.end(),
+                            std::inserter(kept, kept.end()));
       cp->matched = std::move(kept);
       if (cp->matched.empty()) break;
     }
@@ -276,47 +291,18 @@ bool PlannedPredicate::TestProbeAtom(const AtomPlan& ap, EntityId e) {
 const EntitySet& PlannedPredicate::TermImage(const Term& term, EntityId e,
                                              EntityId x) {
   switch (term.origin) {
-    case Operand::kCandidate: {
-      if (memos_.cand_e != e) {
-        memos_.cand.clear();
-        memos_.cand_e = e;
-      }
-      auto it = memos_.cand.find(term.path);
-      if (it == memos_.cand.end()) {
-        it = memos_.cand.emplace(term.path, db_.EvaluateMap(e, term.path))
-                 .first;
-      }
-      return it->second;
-    }
-    case Operand::kSelf: {
-      if (memos_.self_x != x) {
-        memos_.self.clear();
-        memos_.self_x = x;
-      }
-      auto it = memos_.self.find(term.path);
-      if (it == memos_.self.end()) {
-        it = memos_.self.emplace(term.path, db_.EvaluateMap(x, term.path))
-                 .first;
-      }
-      return it->second;
-    }
-    case Operand::kConstant: {
-      auto it = memos_.consts.find(&term);
-      if (it == memos_.consts.end()) {
-        it = memos_.consts
-                 .emplace(&term, db_.EvaluateMap(term.constants, term.path))
-                 .first;
-      }
-      return it->second;
-    }
+    case Operand::kCandidate:
+      return PathImage(&memos_.cand, term.path, e);
+    case Operand::kSelf:
+      return PathImage(&memos_.self, term.path, x);
+    case Operand::kConstant:
     case Operand::kClassExtent: {
-      auto key = std::make_pair(term.extent_class.value(), term.path);
-      auto it = memos_.extents.find(key);
-      if (it == memos_.extents.end()) {
-        it = memos_.extents
-                 .emplace(std::move(key),
-                          db_.EvaluateMap(db_.Members(term.extent_class),
-                                          term.path))
+      auto it = memos_.fixed.find(&term);
+      if (it == memos_.fixed.end()) {
+        const EntitySet& start = term.origin == Operand::kConstant
+                                     ? term.constants
+                                     : db_.Members(term.extent_class);
+        it = memos_.fixed.emplace(&term, db_.EvaluateMap(start, term.path))
                  .first;
       }
       return it->second;
@@ -324,6 +310,28 @@ const EntitySet& PlannedPredicate::TermImage(const Term& term, EntityId e,
   }
   static const EntitySet kEmpty;
   return kEmpty;
+}
+
+const EntitySet& PlannedPredicate::PathImage(
+    std::vector<TermMemos::Slot>* slots, const std::vector<AttributeId>& path,
+    EntityId root) {
+  TermMemos::Slot* slot = nullptr;
+  for (TermMemos::Slot& s : *slots) {
+    if (s.path == &path || *s.path == path) {
+      slot = &s;
+      break;
+    }
+  }
+  if (slot == nullptr) {
+    slot = &slots->emplace_back();  // Within the reserve: nothing moves.
+    slot->path = &path;
+  } else if (slot->root == root) {
+    return slot->image;
+  }
+  slot->root = root;
+  db_.EvaluateMap(std::span<const EntityId>(&root, 1), path, &slot->image,
+                  &memos_.scratch);
+  return slot->image;
 }
 
 bool PlannedPredicate::TestScanAtom(const Atom& atom, EntityId e, EntityId x) {
@@ -365,19 +373,24 @@ EntitySet PlannedPredicate::Evaluate(const EntitySet& candidates, EntityId x) {
     if (!cp.probe_only) any_residual = true;
   }
 
+  // The scans below walk `candidates` by index, not by iterator: a naming
+  // read can intern a name string, which appends to STRING's member set,
+  // and `candidates` may be that set. An append moves no element, and the
+  // scan reaches the new one, as it would have in a tree set.
   EntitySet out;
   if (cnf) {
-    // Stage 1: probe-only conjuncts shrink the candidate set directly.
+    // Stage 1: probe-only conjuncts shrink the candidate set directly, each
+    // by a linear merge into the other of two buffers.
     EntitySet working;
+    EntitySet next;
     const EntitySet* cur = &candidates;
     for (ClausePlan& cp : clauses_) {
       if (!cp.probe_only) continue;
       const EntitySet& matched = ClauseMatched(&cp);
-      EntitySet next;
-      for (EntityId e : *cur) {
-        if (matched.count(e) > 0) next.insert(e);
-      }
-      working = std::move(next);
+      next.clear();
+      std::set_intersection(cur->begin(), cur->end(), matched.begin(),
+                            matched.end(), std::inserter(next, next.end()));
+      std::swap(working, next);
       cur = &working;
       if (working.empty()) break;
     }
@@ -386,7 +399,8 @@ EntitySet PlannedPredicate::Evaluate(const EntitySet& candidates, EntityId x) {
     if (!any_residual) {
       out = (cur == &candidates) ? candidates : std::move(working);
     } else {
-      for (EntityId e : *cur) {
+      for (std::size_t i = 0; i < cur->size(); ++i) {
+        const EntityId e = cur->begin()[i];
         ++stats_.scanned;
         bool ok = true;
         for (ClausePlan& cp : clauses_) {
@@ -396,30 +410,38 @@ EntitySet PlannedPredicate::Evaluate(const EntitySet& candidates, EntityId x) {
             break;
           }
         }
-        if (ok) out.insert(e);
+        if (ok) out.insert(out.end(), e);
       }
     }
   } else {
-    // Stage 1: probe-only disjuncts union straight into the result.
+    // Stage 1: probe-only disjuncts accept their matches outright.
+    EntitySet accepted;
     for (ClausePlan& cp : clauses_) {
       if (!cp.probe_only) continue;
       const EntitySet& matched = ClauseMatched(&cp);
       for (EntityId e : matched) {
-        if (candidates.count(e) > 0) out.insert(e);
+        if (candidates.count(e) > 0) accepted.insert(e);
       }
     }
-    // Stage 2: entities not already accepted get the residual disjuncts.
-    if (any_residual) {
-      for (EntityId e : candidates) {
-        if (out.count(e) > 0) continue;
-        ++stats_.scanned;
-        for (ClausePlan& cp : clauses_) {
-          if (cp.probe_only) continue;
-          if (TestClause(&cp, e, x)) {
-            out.insert(e);
-            break;
+    // Stage 2: entities not already accepted get the residual disjuncts,
+    // in candidate order, so every insert appends.
+    if (!any_residual) {
+      out = std::move(accepted);
+    } else {
+      for (std::size_t i = 0; i < candidates.size(); ++i) {
+        const EntityId e = candidates.begin()[i];
+        bool in = accepted.count(e) > 0;
+        if (!in) {
+          ++stats_.scanned;
+          for (ClausePlan& cp : clauses_) {
+            if (cp.probe_only) continue;
+            if (TestClause(&cp, e, x)) {
+              in = true;
+              break;
+            }
           }
         }
+        if (in) out.insert(out.end(), e);
       }
       stats_.after_prefilter = stats_.candidates_in;
     }

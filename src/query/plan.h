@@ -38,10 +38,8 @@
 #define ISIS_QUERY_PLAN_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "query/predicate.h"
@@ -55,23 +53,28 @@ namespace isis::query {
 /// never reads that attribute.
 bool PredicateMentionsAttribute(const Predicate& pred, AttributeId attr);
 
-/// \brief The four-scope term-image memo of one PlannedPredicate.
+/// \brief The term-image memo of one PlannedPredicate.
 ///
-/// Owned by the plan and dropped with it: every scope is only valid for one
-/// query against an unchanging database (`consts` is even keyed by Term
-/// address). The candidate scope holds images for one candidate e, the
-/// self scope for one self entity x; constant and class-extent images are
+/// Owned by the plan and dropped with it: every image is only valid for one
+/// query against an unchanging database (`fixed` is even keyed by Term
+/// address). Candidate- and self-rooted images live in one slot per
+/// distinct map path, valid for the one entity (e or x) the slot was last
+/// computed for; when that entity changes the image is overwritten in
+/// place, reusing its buffer. Constant and class-extent images are
 /// computed once per query.
 struct TermMemos {
-  // Candidate-rooted images are valid for one e, self-rooted for one x;
-  // constants and class extents are e/x-independent.
-  std::map<std::vector<AttributeId>, sdm::EntitySet> cand;
-  EntityId cand_e = sdm::kNullEntity;
-  std::map<std::vector<AttributeId>, sdm::EntitySet> self;
-  EntityId self_x = sdm::kNullEntity;
-  std::unordered_map<const Term*, sdm::EntitySet> consts;
-  std::map<std::pair<std::int64_t, std::vector<AttributeId>>, sdm::EntitySet>
-      extents;
+  struct Slot {
+    const std::vector<AttributeId>* path = nullptr;
+    EntityId root;         ///< The e (or x) `image` was computed for.
+    sdm::EntitySet image;
+  };
+  /// Reserved at plan construction to one slot per candidate- (self-)
+  /// rooted term, so adding a slot never moves another: TestScanAtom holds
+  /// one image while it fetches the other.
+  std::vector<Slot> cand;
+  std::vector<Slot> self;
+  sdm::EntitySet scratch;  ///< The second frontier of every slot's map.
+  std::unordered_map<const Term*, sdm::EntitySet> fixed;
 };
 
 /// How one atom will be executed.
@@ -151,8 +154,12 @@ class PlannedPredicate {
   bool TestProbeAtom(const AtomPlan& ap, EntityId e);
   bool TestScanAtom(const Atom& atom, EntityId e, EntityId x);
   bool TestClause(ClausePlan* cp, EntityId e, EntityId x);
-  /// Memoized term image; see file comment for the memo scopes.
+  /// Memoized term image; see TermMemos for the memo scopes.
   const sdm::EntitySet& TermImage(const Term& term, EntityId e, EntityId x);
+  /// The image of `root` under `path`, from its slot in `slots`.
+  const sdm::EntitySet& PathImage(std::vector<TermMemos::Slot>* slots,
+                                  const std::vector<AttributeId>& path,
+                                  EntityId root);
 
   const sdm::Database& db_;
   const Predicate& pred_;

@@ -122,8 +122,13 @@ Status Workspace::ReevaluateAttribute(AttributeId attr) {
   }
   const AttributeDef& def = db_.schema().GetAttribute(attr);
   // Materialize the derivation for every owner (inherited use included:
-  // members of subclasses are members of the owner too).
-  for (EntityId x : db_.Members(def.owner)) {
+  // members of subclasses are members of the owner too). Each SetMulti is
+  // an outermost mutation, and its settle may run the live engine's drain,
+  // which can rewrite this very member set: iterate a copy, and skip an
+  // owner the drain has dropped from the class.
+  const EntitySet owners = db_.Members(def.owner);
+  for (EntityId x : owners) {
+    if (!db_.IsMember(x, def.owner)) continue;
     ISIS_RETURN_NOT_OK(db_.SetMulti(x, attr, ComputeAttributeValue(it->second,
                                                                    def, x)));
   }

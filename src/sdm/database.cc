@@ -689,28 +689,47 @@ EntitySet Database::GetValueSet(EntityId e, AttributeId attr) const {
 
 EntitySet Database::EvaluateMap(const EntitySet& start,
                                 std::span<const AttributeId> path) const {
-  EntitySet frontier;
-  for (EntityId e : start) {
-    if (e != kNullEntity && HasEntity(e)) frontier.insert(e);
-  }
-  for (AttributeId attr : path) {
-    if (!schema_.HasAttribute(attr)) return {};
-    const AttributeDef& def = schema_.GetAttribute(attr);
-    EntitySet next;
-    for (EntityId e : frontier) {
-      if (!IsMember(e, def.owner)) continue;
-      for (EntityId v : GetValueSet(e, attr)) {
-        if (v != kNullEntity) next.insert(v);
-      }
-    }
-    frontier = std::move(next);
-  }
-  return frontier;
+  EntitySet out;
+  EntitySet scratch;
+  EvaluateMap(std::span<const EntityId>(start.begin(), start.end()), path,
+              &out, &scratch);
+  return out;
 }
 
 EntitySet Database::EvaluateMap(EntityId start,
                                 std::span<const AttributeId> path) const {
-  return EvaluateMap(EntitySet{start}, path);
+  EntitySet out;
+  EntitySet scratch;
+  EvaluateMap(std::span<const EntityId>(&start, 1), path, &out, &scratch);
+  return out;
+}
+
+void Database::EvaluateMap(std::span<const EntityId> start,
+                           std::span<const AttributeId> path, EntitySet* out,
+                           EntitySet* scratch) const {
+  out->clear();
+  for (EntityId e : start) {
+    if (e != kNullEntity && HasEntity(e)) out->insert(out->end(), e);
+  }
+  for (AttributeId attr : path) {
+    if (!schema_.HasAttribute(attr)) {
+      out->clear();
+      return;
+    }
+    const AttributeDef& def = schema_.GetAttribute(attr);
+    scratch->clear();
+    for (EntityId e : *out) {
+      if (!IsMember(e, def.owner)) continue;
+      if (def.multivalued) {
+        for (EntityId v : GetMulti(e, attr)) {
+          if (v != kNullEntity) scratch->insert(v);
+        }
+      } else if (EntityId v = GetSingle(e, attr); v != kNullEntity) {
+        scratch->insert(v);
+      }
+    }
+    std::swap(*out, *scratch);
+  }
 }
 
 Result<ClassId> Database::MapTerminalClass(

@@ -21,7 +21,6 @@
 
 #include <atomic>
 #include <map>
-#include <set>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -30,6 +29,7 @@
 #include "common/ids.h"
 #include "common/sync.h"
 #include "common/result.h"
+#include "sdm/entity_set.h"
 #include "sdm/schema.h"
 #include "sdm/value.h"
 
@@ -52,8 +52,21 @@ struct Entity {
   bool has_value = false;
 };
 
-/// A deterministic ordered set of entities (creation order == id order).
-using EntitySet = std::set<EntityId>;
+/// A deterministic ordered set of entities (creation order == id order):
+/// a sorted, duplicate-free vector (FlatSet, entity_set.h), so iteration
+/// runs in id order and adding a newly created entity is an append.
+///
+/// Invalidation rule: any insert or erase invalidates every iterator and
+/// element reference into that set. References to the set objects the
+/// database hands out (Members, GetMulti, ValueIndexProbe) stay valid,
+/// because they live as values of node-stable unordered_maps. So a loop
+/// over one of them whose body can change that same set -- directly, or
+/// through the live engine's drain when a mutation settles -- iterates a
+/// copy (see Workspace::ReevaluateAttribute). Interning a value is such a
+/// change to its predefined class's set: it appends (the new id is the
+/// largest), which moves no element, so a scan that may intern into the
+/// set it walks walks it by index (PlannedPredicate::Evaluate).
+using EntitySet = FlatSet<EntityId>;
 
 /// \brief Observer of data-level mutations (the live-view engine's feed).
 ///
@@ -246,6 +259,15 @@ class Database {
                         std::span<const AttributeId> path) const;
   EntitySet EvaluateMap(EntityId start,
                         std::span<const AttributeId> path) const;
+  /// The one map evaluator the overloads above wrap. `start` lists
+  /// entities in ascending id order without repeats (a set's elements, or
+  /// one entity). The image goes into `*out`; `*scratch` holds the other
+  /// frontier between steps. Both are caller-owned and keep their
+  /// capacity, so a caller evaluating map after map allocates only when a
+  /// set outgrows what its buffer held before. Neither may hold `start`.
+  void EvaluateMap(std::span<const EntityId> start,
+                   std::span<const AttributeId> path, EntitySet* out,
+                   EntitySet* scratch) const;
 
   /// Checks a map is well formed from `from`: each step visible on the
   /// reached class. Returns the class the map terminates in.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <set>
 
 namespace isis::sdm {
 
@@ -33,7 +32,7 @@ DatabaseStats ComputeStats(const Database& db) {
       as.name = def.name + "." + attr.name;
       as.multivalued = attr.multivalued;
       as.owner_members = db.Members(c).size();
-      std::set<EntityId> distinct;
+      EntitySet distinct;
       size_t total_set_size = 0;
       for (EntityId e : db.Members(c)) {
         EntitySet values = db.GetValueSet(e, a);
@@ -57,7 +56,7 @@ DatabaseStats ComputeStats(const Database& db) {
     GroupingStats gs;
     gs.grouping = g;
     gs.name = def.name;
-    std::set<EntityId> covered;
+    EntitySet covered;
     for (const GroupingBlock& block : db.GroupingBlocks(g)) {
       ++gs.blocks;
       gs.largest_block = std::max(gs.largest_block, block.members.size());

@@ -11,6 +11,7 @@
 
 #include "common/rng.h"
 #include "datasets/instrumental_music.h"
+#include "datasets/scaled_music.h"
 #include "live/engine.h"
 #include "query/workspace.h"
 #include "sdm/consistency.h"
@@ -319,6 +320,63 @@ TEST(LiveEngineTest, ConstraintViolationsTrackMutations) {
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_EQ(violations[0].constraint, "groups_nonempty");
   EXPECT_EQ(violations[0].violators, EntitySet{duo});
+}
+
+// --- A redefinition whose drains shrink the attribute's own owner class.
+// ReevaluateAttribute runs one outermost SetMulti per owner, and each
+// settle drains the engine, which here removes owners from the very member
+// set the loop walks. ---
+
+TEST(LiveEngineTest, RedefinitionThatShrinksItsOwnerClassMatchesFullRecompute) {
+  sdm::Database::Options options;
+  options.live_views = true;
+  auto ws_live = datasets::BuildScaledMusic(2, 7, options);
+  auto ws_ref = datasets::BuildScaledMusic(2, 7, options);
+  live::LiveViewEngine engine(ws_live.get());
+  const datasets::ScaledMusicHandles h =
+      datasets::ResolveScaledMusic(*ws_live);
+  const EntityId family0 = *ws_live->db().FindEntity(h.families, "family0");
+  const EntityId family1 = *ws_live->db().FindEntity(h.families, "family1");
+
+  // The same steps on both twins (ids line up); the reference re-derives
+  // everything after each step with no engine attached.
+  std::size_t tagged_before = 0;
+  for (Workspace* ws : {ws_live.get(), ws_ref.get()}) {
+    sdm::Database& db = ws->db();
+    // `tagged`: every group, then derived as e.tag ]= {family0}, where tag
+    // is defined on tagged itself and starts out as the group's includes.
+    const ClassId tagged =
+        *db.CreateSubclass("tagged", h.music_groups, Membership::kEnumerated);
+    const EntitySet groups = db.Members(h.music_groups);
+    for (EntityId g : groups) ASSERT_TRUE(db.AddToClass(g, tagged).ok());
+    const AttributeId tag =
+        *db.CreateAttribute(tagged, "tag", h.families, /*multivalued=*/true);
+    ASSERT_TRUE(ws->DefineAttributeDerivation(
+                      tag, AttributeDerivation::Assign(Term::Self({h.includes})))
+                    .ok());
+    Predicate p;
+    Atom a;
+    a.lhs = Term::Candidate({tag});
+    a.op = SetOp::kSuperset;
+    a.rhs = Term::Constant({family0});
+    p.AddAtom(a, 0);
+    ASSERT_TRUE(ws->DefineSubclassMembership(tagged, p).ok());
+    if (ws == ws_live.get()) tagged_before = db.Members(tagged).size();
+    // Every tag becomes {family1}: each owner's SetMulti drops owners out
+    // of tagged while the loop is still walking them.
+    ASSERT_TRUE(ws->DefineAttributeDerivation(
+                      tag, AttributeDerivation::Assign(Term::Constant({family1})))
+                    .ok());
+    if (ws == ws_live.get()) {
+      EXPECT_TRUE(db.Members(tagged).empty());
+    } else {
+      ASSERT_TRUE(ws->ReevaluateAll().ok());
+    }
+  }
+  ASSERT_GE(tagged_before, 2u) << "the scenario needs owners to drop out";
+  EXPECT_TRUE(engine.last_error().ok()) << engine.last_error().ToString();
+  EXPECT_EQ(store::Save(*ws_live), store::Save(*ws_ref));
+  EXPECT_TRUE(sdm::ConsistencyChecker(ws_live->db()).Check().ok());
 }
 
 // --- The opt-in flag persists through the store. ---

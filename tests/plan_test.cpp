@@ -221,6 +221,96 @@ TEST_F(PlanTest, SelfTermsEvaluateAgainstTheOwner) {
   }
 }
 
+TEST_F(PlanTest, MemoSlotsStayPutWhileAnAtomHoldsItsLeftImage) {
+  // Maps on both sides of every atom, and in one scope more distinct paths
+  // than there are atoms: a scan holds its left image while fetching the
+  // right one, which may open a new memo slot. That must not move the slot
+  // the left image lives in.
+  const AttributeId includes =
+      *db_->schema().FindAttribute(music_groups_, "includes");
+  auto atom = [](Term lhs, SetOp op, Term rhs) {
+    Atom a;
+    a.lhs = std::move(lhs);
+    a.op = op;
+    a.rhs = std::move(rhs);
+    return a;
+  };
+  // Three candidate-rooted paths over two atoms.
+  const std::vector<Atom> candidate_heavy = {
+      atom(Term::Candidate({members_, plays_, family_}), SetOp::kSubset,
+           Term::Candidate({includes})),
+      atom(Term::Candidate({members_, plays_}), SetOp::kWeakMatch,
+           Term::Self({members_, plays_}))};
+  // Three self-rooted paths over two atoms.
+  const std::vector<Atom> self_heavy = {
+      atom(Term::Candidate({members_, plays_}), SetOp::kWeakMatch,
+           Term::Self({members_, plays_})),
+      atom(Term::Self({members_, plays_, family_}), SetOp::kEqual,
+           Term::Self({includes}))};
+  Evaluator naive(*db_);
+  naive.set_use_planner(false);
+  for (const std::vector<Atom>* atoms : {&candidate_heavy, &self_heavy}) {
+    for (NormalForm form :
+         {NormalForm::kConjunctive, NormalForm::kDisjunctive}) {
+      for (int split = 0; split < 2; ++split) {  // one clause, or two
+        Predicate p;
+        p.form = form;
+        p.AddAtom((*atoms)[0], 0);
+        p.AddAtom((*atoms)[1], split);
+        for (EntityId x : db_->Members(music_groups_)) {
+          EntitySet want;
+          for (EntityId e : db_->Members(music_groups_)) {
+            if (naive.EvalPredicate(p, e, x)) want.insert(e);
+          }
+          PlannedPredicate plan(*db_, p, music_groups_);
+          EXPECT_EQ(plan.Evaluate(db_->Members(music_groups_), x), want)
+              << db_->NameOf(x);
+          PlannedPredicate point(*db_, p, music_groups_);
+          for (EntityId e : db_->Members(music_groups_)) {
+            EXPECT_EQ(point.Test(e, x), want.count(e) > 0) << db_->NameOf(e);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(PlanTest, ScansReachANameStringInternedMidScan) {
+  // nick(x) = { e in STRING | e = x.stage_name }. Reading x's name interns
+  // it, which appends to STRING's member set: the very candidates the scan
+  // is walking. The scan must survive the append and reach the new string,
+  // under the planner and the naive evaluator alike, and so must a stored
+  // derivation materialized for every musician.
+  const AttributeId stage_name =
+      *db_->schema().FindAttribute(musicians_, "stage_name");
+  Predicate p;
+  Atom a;
+  a.lhs = Term::Candidate({});
+  a.op = SetOp::kEqual;
+  a.rhs = Term::Self({stage_name});
+  p.AddAtom(a, 0);
+  for (bool planner : {true, false}) {
+    const EntityId x =
+        *db_->CreateEntity(musicians_, planner ? "Fresh_P" : "Fresh_N");
+    Evaluator eval(*db_);
+    eval.set_use_planner(planner);
+    EXPECT_EQ(eval.EvaluateAttributeFor(p, Schema::kStrings(), x),
+              EntitySet{db_->InternString(db_->NameOf(x))})
+        << (planner ? "planner" : "naive");
+  }
+  ASSERT_TRUE(db_->CreateEntity(musicians_, "Fresh_W").ok());
+  const AttributeId nick = *db_->CreateAttribute(
+      musicians_, "nick", Schema::kStrings(), /*multivalued=*/true);
+  ASSERT_TRUE(ws_->DefineAttributeDerivation(
+                     nick, AttributeDerivation::FromPredicate(p))
+                  .ok());
+  for (EntityId x : db_->Members(musicians_)) {
+    EXPECT_EQ(db_->GetMulti(x, nick),
+              EntitySet{db_->InternString(db_->NameOf(x))})
+        << db_->NameOf(x);
+  }
+}
+
 TEST_F(PlanTest, EmptyPredicates) {
   Predicate cnf;  // empty conjunction: everything qualifies
   EXPECT_EQ(CheckEquivalent(cnf, instruments_).size(),

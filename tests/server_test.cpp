@@ -718,11 +718,11 @@ TEST(ServerTest, PingPongEchoesWithoutASession) {
 }
 
 TEST(ServerTest, ExpiredRequestsAreDroppedBeforeDispatch) {
-  // One worker and a deep queue: a burst of 1ms-deadline queries cannot all
-  // be served in time, and the stragglers must come back kDeadlineExceeded
-  // without ever running. The result cache stays off: with it, 299 of the
-  // 300 identical queries are hash-probe hits and the queue drains inside
-  // the 1ms budget -- this test needs evaluation to stay expensive.
+  // One worker and a deep queue: a burst of 1ms-deadline queries lapses
+  // while queued, and the stragglers must come back kDeadlineExceeded
+  // without ever running. The first reply's callback holds the worker
+  // until the whole burst is queued and every 1ms budget has lapsed, so
+  // the outcome does not depend on how fast a query evaluates.
   ServerOptions options;
   options.threads = 1;
   options.queue_capacity = 512;
@@ -735,6 +735,8 @@ TEST(ServerTest, ExpiredRequestsAreDroppedBeforeDispatch) {
   ASSERT_TRUE(client.Reconnect(-1).ok());
 
   constexpr int kBurst = 300;
+  constexpr int kGenerous = 10;
+  Gate hold;
   isis::Mutex mu;
   isis::CondVar cv;
   int responded = 0;
@@ -745,11 +747,11 @@ TEST(ServerTest, ExpiredRequestsAreDroppedBeforeDispatch) {
     req.type = MsgType::kQuery;
     req.seq = static_cast<std::uint32_t>(i + 10);
     // A generous budget for the head of the queue (those must answer), a
-    // 1ms budget for the rest (the ~30ms of queued work ahead of them
-    // guarantees stragglers).
-    req.deadline_ms = i < 10 ? 10000 : 1;
+    // 1ms budget for the rest (held behind the first reply, they lapse).
+    req.deadline_ms = i < kGenerous ? 10000 : 1;
     req.payload = JoinFields({"musicians", "e.plays ]= {inst0}"});
-    srv->HandleFrame(client.session_id(), req, [&](const Frame& resp) {
+    srv->HandleFrame(client.session_id(), req, [&, i](const Frame& resp) {
+      if (i == 0) hold.Wait();
       isis::MutexLock lock(mu);
       ++responded;
       if (resp.type == MsgType::kDeadlineExceeded) ++expired;
@@ -757,12 +759,15 @@ TEST(ServerTest, ExpiredRequestsAreDroppedBeforeDispatch) {
       cv.NotifyOne();
     });
   }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  hold.Open();
   {
     isis::MutexLock lock(mu);
     cv.Wait(lock, [&] { return responded == kBurst; });
-    EXPECT_GT(expired, 0) << "1ms deadlines all survived a " << kBurst
-                          << "-deep queue on one worker";
-    EXPECT_GT(answered, 0) << "the head of the queue was still in budget";
+    EXPECT_EQ(expired, kBurst - kGenerous)
+        << "1ms deadlines survived 20ms of a held " << kBurst
+        << "-deep queue on one worker";
+    EXPECT_EQ(answered, kGenerous) << "the head of the queue was in budget";
   }
   EXPECT_GE(srv->stats().Snapshot().deadline_drops, expired);
   srv->Shutdown();
