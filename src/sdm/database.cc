@@ -348,7 +348,8 @@ Status Database::RenameEntity(EntityId e, const std::string& new_name) {
   names[new_name] = e;
   // A rename is a change of the naming attribute's (virtual) value, and
   // reaches observers and its change count like any other. (No `ent` past
-  // this point: interning may reallocate entities_.)
+  // this point: interning may reallocate entities_, so `new_name` must not
+  // point into it either.)
   for (AttributeId a : schema_.GetClass(base).own_attributes) {
     if (!schema_.GetAttribute(a).naming) continue;
     const EntitySet before{InternString(old_name)};
@@ -588,7 +589,9 @@ Status Database::SetSingle(EntityId e, AttributeId attr, EntityId value) {
         GetEntity(value).value.kind() != BaseKind::kString) {
       return Status::Consistency("naming attribute values must be strings");
     }
-    return RenameEntity(e, GetEntity(value).value.str());
+    // Pass a copy: the rename interns strings, which may reallocate the
+    // entity table this value lives in.
+    return RenameEntity(e, std::string(GetEntity(value).value.str()));
   }
   ISIS_RETURN_NOT_OK(CheckValueAllowed(attr, value));
   EntitySet before = GetValueSet(e, attr);

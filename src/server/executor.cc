@@ -38,7 +38,7 @@ void Executor::RemoveLane(std::int64_t lane) {
 SubmitResult Executor::Submit(std::int64_t lane, TaskMode mode, TaskFn task,
                               bool important, std::uint32_t deadline_ms,
                               std::function<void()> on_expired) {
-  Task t{mode, std::move(task)};
+  Task t{mode, std::move(task), {}, false, {}};
   if (deadline_ms > 0) {
     t.deadline = std::chrono::steady_clock::now() +
                  std::chrono::milliseconds(deadline_ms);

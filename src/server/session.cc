@@ -280,7 +280,8 @@ std::shared_ptr<Session> Server::FindSession(std::int64_t id) const {
 void Server::SyncCacheStats() {
   if (cache_ == nullptr) return;
   query::ResultCache::Counters c = cache_->counters();
-  stats_.SetCacheCounters(c.hits, c.misses, c.evictions, c.invalidations,
+  stats_.SetCacheCounters(c.hits, c.reply_hits, c.misses, c.evictions,
+                          c.invalidations,
                           c.schema_flushes + c.version_flushes);
 }
 
@@ -707,6 +708,14 @@ Frame Server::HandleWriteLocked(std::shared_ptr<Session> s, const Frame& req,
 }
 
 Frame Server::DoQuery(const Frame& req) {
+  Frame resp;
+  resp.type = MsgType::kQueryResult;
+  resp.seq = req.seq;
+  // A repeated request is answered from its stored reply: no parse, no
+  // key, no names (query/cache.h, rule 3).
+  if (cache_ != nullptr && cache_->LookupReply(req.payload, &resp.payload)) {
+    return resp;
+  }
   std::vector<std::string> fields = SplitFields(req.payload);
   if (fields.size() != 2) {
     return ErrorFrame(
@@ -716,8 +725,13 @@ Frame Server::DoQuery(const Frame& req) {
   // Degraded-read marker, snapshotted before the parse: a frozen-intern
   // read that could not intern (thread-local miss) yields a predicate that
   // must neither consult nor populate the cache -- the caller discards this
-  // whole response and re-runs exclusively anyway.
+  // whole response and re-runs exclusively anyway. The version is stamped
+  // here too: Insert and InsertReply refuse what was computed while the
+  // database moved (REPL-style unfrozen readers can intern while parsing
+  // or evaluating; under the server's shared lock nothing moves and the
+  // stamp always holds).
   const std::int64_t misses0 = sdm::Database::InternMissCount();
+  const std::uint64_t v0 = db.version();
   Result<ClassId> cls = db.schema().FindClass(fields[0]);
   if (!cls.ok()) return ErrorFrame(req, cls.status());
   Result<query::Predicate> pred =
@@ -732,12 +746,8 @@ Frame Server::DoQuery(const Frame& req) {
     key = query::ResultCache::NormalizeKey(*pred, *cls);
     result = cache_->Lookup(key);
   }
-  if (result == nullptr) {
-    // Stamp the version *before* evaluating: Insert refuses the result if
-    // the database moved mid-evaluation (REPL-style unfrozen readers can
-    // intern while evaluating; under the server's shared lock nothing
-    // moves and the stamp always holds).
-    const std::uint64_t v0 = db.version();
+  const bool reused = result != nullptr;
+  if (!reused) {
     query::Evaluator ev(db);
     auto eval = std::make_shared<const sdm::EntitySet>(
         ev.EvaluateSubclass(*pred, *cls));
@@ -748,15 +758,17 @@ Frame Server::DoQuery(const Frame& req) {
     }
     result = std::move(eval);
   }
-  // Names are rendered at response time, never cached: the id-keyed result
-  // stays valid across renames, and NameOf reflects the current names.
+  // Names are rendered from the id-set at response time: the id-keyed
+  // result stays valid across renames, and NameOf reflects the current
+  // names.
   std::vector<std::string> out;
   out.push_back(std::to_string(result->size()));
   for (EntityId e : *result) out.push_back(db.NameOf(e));
-  Frame resp;
-  resp.type = MsgType::kQueryResult;
-  resp.seq = req.seq;
   resp.payload = JoinFields(out);
+  // Admission: only a request that reused a fresh id-set stores its reply.
+  if (reused && sdm::Database::InternMissCount() == misses0) {
+    cache_->InsertReply(req.payload, key, *pred, *cls, resp.payload, v0);
+  }
   return resp;
 }
 
@@ -777,12 +789,14 @@ Frame Server::DoExplain(const Frame& req) {
   resp.type = MsgType::kExplainResult;
   resp.seq = req.seq;
   resp.payload = ev.Explain(*pred, *cls);
-  // Whether the identical kQuery would be served from the result cache
-  // right now. Peek does not touch the counters or the LRU order, so
-  // explaining a query does not perturb what it reports.
+  // Whether the identical kQuery would be answered without evaluation
+  // right now, from its stored reply or its id-set. The peeks touch neither
+  // the counters nor the LRU order, so explaining a query does not perturb
+  // what it reports.
   if (cache_ == nullptr) {
     resp.payload += "\ncache: bypass";
-  } else if (cache_->Peek(query::ResultCache::NormalizeKey(*pred, *cls))) {
+  } else if (cache_->PeekReply(req.payload) ||
+             cache_->Peek(query::ResultCache::NormalizeKey(*pred, *cls))) {
     resp.payload += "\ncache: hit";
   } else {
     resp.payload += "\ncache: miss";

@@ -99,13 +99,16 @@ namespace isis::server {
 struct ServerOptions {
   int threads = 4;
   int queue_capacity = 64;  ///< Per-session queued-request bound.
-  /// Query-result cache over the shared database (query/cache.h): kQuery
-  /// answers are memoized by normalized predicate and dropped once a write
-  /// has changed what they read. Results are identical either way
+  /// Query-result cache over the shared database (query/cache.h): a kQuery
+  /// answer is memoized as the result id-set of its normalized predicate,
+  /// and a request that reuses a fresh id-set also stores its reply, so the
+  /// next identical request is answered without a parse or a name lookup.
+  /// Entries are dropped once a write or a schema edit has changed what
+  /// they read, names included. Replies are identical either way
   /// (property-tested in result_cache_test.cpp); off is only for A/B
   /// benching.
   bool result_cache = true;
-  int result_cache_capacity = 1024;
+  int result_cache_capacity = 1024;  ///< Id-set and reply entries together.
   /// Non-empty: run durable -- WAL in this directory (must exist), recovery
   /// on open, checkpoint on shutdown.
   std::string durable_dir;

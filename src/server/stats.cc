@@ -44,7 +44,8 @@ std::string ServerStats::ToJsonLine() const {
       "\"eof_clean\": %lld, \"eof_truncated\": %lld, "
       "\"queue_depth\": %lld, \"queue_peak\": %lld, "
       "\"read_lock_wait_us\": %lld, \"write_lock_wait_us\": %lld, "
-      "\"cache_hits\": %lld, \"cache_misses\": %lld, "
+      "\"cache_hits\": %lld, \"cache_reply_hits\": %lld, "
+      "\"cache_misses\": %lld, "
       "\"cache_evictions\": %lld, \"cache_invalidations\": %lld, "
       "\"cache_flushes\": %lld, "
       "\"wal_batches\": %lld, \"wal_records\": %lld, \"wal_syncs\": %lld, "
@@ -70,6 +71,7 @@ std::string ServerStats::ToJsonLine() const {
       static_cast<long long>(s.read_lock_wait_us),
       static_cast<long long>(s.write_lock_wait_us),
       static_cast<long long>(s.cache_hits),
+      static_cast<long long>(s.cache_reply_hits),
       static_cast<long long>(s.cache_misses),
       static_cast<long long>(s.cache_evictions),
       static_cast<long long>(s.cache_invalidations),

@@ -54,6 +54,7 @@ struct StatsSnapshot {
   std::int64_t write_lock_wait_us = 0;  ///< Cumulative exclusive-lock wait.
   // Query-result cache (query/cache.h), synced by the owning Server.
   std::int64_t cache_hits = 0;          ///< Reads answered from the cache.
+  std::int64_t cache_reply_hits = 0;    ///< Of those, from a stored reply.
   std::int64_t cache_misses = 0;        ///< Reads that had to evaluate.
   std::int64_t cache_evictions = 0;     ///< Entries dropped by the LRU bound.
   std::int64_t cache_invalidations = 0; ///< Stale entries lookups dropped.
@@ -157,10 +158,11 @@ class ServerStats {
   /// Absolute sync of the result-cache counters (the cache keeps its own
   /// under its own lock; the Server copies them over before a snapshot is
   /// served). Stores, not adds: the cache's counters are the truth.
-  void SetCacheCounters(std::int64_t hits, std::int64_t misses,
-                        std::int64_t evictions, std::int64_t invalidations,
-                        std::int64_t flushes) {
+  void SetCacheCounters(std::int64_t hits, std::int64_t reply_hits,
+                        std::int64_t misses, std::int64_t evictions,
+                        std::int64_t invalidations, std::int64_t flushes) {
     cache_hits_.store(hits, std::memory_order_relaxed);
+    cache_reply_hits_.store(reply_hits, std::memory_order_relaxed);
     cache_misses_.store(misses, std::memory_order_relaxed);
     cache_evictions_.store(evictions, std::memory_order_relaxed);
     cache_invalidations_.store(invalidations, std::memory_order_relaxed);
@@ -189,6 +191,7 @@ class ServerStats {
     s.read_lock_wait_us = Get(read_lock_wait_ns_) / 1000;
     s.write_lock_wait_us = Get(write_lock_wait_ns_) / 1000;
     s.cache_hits = Get(cache_hits_);
+    s.cache_reply_hits = Get(cache_reply_hits_);
     s.cache_misses = Get(cache_misses_);
     s.cache_evictions = Get(cache_evictions_);
     s.cache_invalidations = Get(cache_invalidations_);
@@ -282,6 +285,9 @@ class ServerStats {
   std::array<Counter, 32> by_type_{};
   std::array<Counter, kBuckets> latency_buckets_{};
   std::array<Counter, kBuckets> fsync_buckets_{};
+  // Added after the others, so that no counter above moves within the
+  // cache lines the request threads share.
+  Counter cache_reply_hits_{0};
 };
 
 }  // namespace isis::server

@@ -170,6 +170,22 @@ TEST_F(DatabaseTest, NamingAttributeReadsAndRenames) {
   EXPECT_TRUE(db_.FindEntity(people_, "alice").status().IsNotFound());
 }
 
+TEST_F(DatabaseTest, NamingAttributeRenameSurvivesInterningTheOldName) {
+  // Each rename interns an old name never interned before, which appends
+  // to the entity table, now and then reallocating it -- under the string
+  // entity that holds the new name (a use-after-free under ASan while
+  // SetSingle passed a reference to that value).
+  AttributeId naming = db_.schema().GetClass(people_).own_attributes[0];
+  for (int i = 0; i < 300; ++i) {
+    const std::string to = "q" + std::to_string(i);
+    Result<EntityId> p = db_.CreateEntity(people_, "p" + std::to_string(i));
+    ASSERT_TRUE(p.ok());
+    ASSERT_TRUE(db_.SetSingle(*p, naming, db_.InternString(to)).ok());
+    EXPECT_EQ(db_.NameOf(*p), to);
+    EXPECT_EQ(*db_.FindEntity(people_, to), *p);
+  }
+}
+
 TEST_F(DatabaseTest, RenameEntity) {
   ASSERT_TRUE(db_.RenameEntity(alice_, "alina").ok());
   EXPECT_EQ(db_.NameOf(alice_), "alina");

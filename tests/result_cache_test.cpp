@@ -13,10 +13,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "datasets/scaled_music.h"
@@ -339,48 +341,86 @@ std::string StripCacheLine(std::string s) {
   return pos == std::string::npos ? s : s.substr(0, pos);
 }
 
+/// The oracle pair: a cached server and an uncached twin opened over the
+/// same dataset, each with `sessions` connected clients. Tests send every
+/// request to both.
+struct TwinServers {
+  std::unique_ptr<Server> cached;
+  std::unique_ptr<Server> plain;
+  std::vector<std::unique_ptr<RetryingClient>> cached_clients;
+  std::vector<std::unique_ptr<RetryingClient>> plain_clients;
+
+  void Open(int scale, int sessions,
+            int capacity = ServerOptions().result_cache_capacity) {
+    ServerOptions cached_opts;
+    cached_opts.threads = 2;
+    cached_opts.result_cache_capacity = capacity;
+    ServerOptions plain_opts;
+    plain_opts.threads = 2;
+    plain_opts.result_cache = false;
+    auto cached_r = Server::Open(BuildScaledMusic(scale), cached_opts);
+    auto plain_r = Server::Open(BuildScaledMusic(scale), plain_opts);
+    ASSERT_TRUE(cached_r.ok());
+    ASSERT_TRUE(plain_r.ok());
+    cached = std::move(cached_r).ValueOrDie();
+    plain = std::move(plain_r).ValueOrDie();
+    for (int s = 0; s < sessions; ++s) {
+      cached_clients.push_back(std::make_unique<RetryingClient>(
+          std::make_unique<LoopbackTransport>(cached.get(),
+                                              "c" + std::to_string(s)),
+          RetryOptions()));
+      plain_clients.push_back(std::make_unique<RetryingClient>(
+          std::make_unique<LoopbackTransport>(plain.get(),
+                                              "p" + std::to_string(s)),
+          RetryOptions()));
+      ASSERT_TRUE(cached_clients.back()->Connect().ok());
+      ASSERT_TRUE(plain_clients.back()->Connect().ok());
+    }
+  }
+
+  /// One request to both servers on session `s`: {cached, plain} answers.
+  std::pair<Frame, Frame> Call(int s, MsgType type,
+                               const std::string& payload) {
+    Result<Frame> cf = cached_clients[s]->Call(type, payload);
+    Result<Frame> pf = plain_clients[s]->Call(type, payload);
+    EXPECT_TRUE(cf.ok()) << payload << ": " << cf.status().ToString();
+    EXPECT_TRUE(pf.ok()) << payload << ": " << pf.status().ToString();
+    if (!cf.ok() || !pf.ok()) return {};
+    return {*cf, *pf};
+  }
+
+  /// Call, expecting byte-identical answers, type included; returns the
+  /// cached server's.
+  Frame Same(int s, MsgType type, const std::string& payload) {
+    auto [c, p] = Call(s, type, payload);
+    EXPECT_EQ(c.type, p.type) << payload << ": " << p.payload;
+    EXPECT_EQ(c.payload, p.payload) << payload;
+    return c;
+  }
+
+  ResultCache::Counters counters() const {
+    return cached->result_cache()->counters();
+  }
+};
+
 TEST(ResultCacheOracleTest, RandomizedInterleavingMatchesUncachedServer) {
   constexpr int kScale = 2;  // 32 musicians, 4 instruments, 6 groups.
   constexpr int kSessions = 3;
   constexpr int kOps = 600;
 
-  ServerOptions cached_opts;
-  cached_opts.threads = 2;
-  ServerOptions plain_opts;
-  plain_opts.threads = 2;
-  plain_opts.result_cache = false;
+  TwinServers twins;
+  ASSERT_NO_FATAL_FAILURE(twins.Open(kScale, kSessions));
 
-  auto cached_r = Server::Open(BuildScaledMusic(kScale), cached_opts);
-  auto plain_r = Server::Open(BuildScaledMusic(kScale), plain_opts);
-  ASSERT_TRUE(cached_r.ok());
-  ASSERT_TRUE(plain_r.ok());
-  std::unique_ptr<Server> cached = std::move(cached_r).ValueOrDie();
-  std::unique_ptr<Server> plain = std::move(plain_r).ValueOrDie();
-
-  std::vector<std::unique_ptr<RetryingClient>> cached_clients;
-  std::vector<std::unique_ptr<RetryingClient>> plain_clients;
-  for (int s = 0; s < kSessions; ++s) {
-    cached_clients.push_back(std::make_unique<RetryingClient>(
-        std::make_unique<LoopbackTransport>(cached.get(),
-                                            "c" + std::to_string(s)),
-        RetryOptions()));
-    plain_clients.push_back(std::make_unique<RetryingClient>(
-        std::make_unique<LoopbackTransport>(plain.get(),
-                                            "p" + std::to_string(s)),
-        RetryOptions()));
-    ASSERT_TRUE(cached_clients.back()->Connect().ok());
-    ASSERT_TRUE(plain_clients.back()->Connect().ok());
-  }
-
-  const std::vector<std::pair<std::string, std::string>> pool = {
-      {"musicians", "e.plays ]= {inst0}"},
-      {"musicians", "e.plays ]= {inst1}"},
-      {"musicians", "e.plays ]= {inst0} and e.union = {yes}"},
-      {"musicians", "e.plays ]= {inst2} or e.plays ]= {inst3}"},
-      {"music_groups", "e.size = {3}"},
-      {"music_groups", "e.size = {4} and e.members.plays ]= {inst1}"},
-      {"instruments", "e.popular = {yes}"},
-      {"music_groups", "e.includes ]= {family0}"},
+  const std::vector<std::string> pool = {
+      JoinFields({"musicians", "e.plays ]= {inst0}"}),
+      JoinFields({"musicians", "e.plays ]= {inst1}"}),
+      JoinFields({"musicians", "e.plays ]= {inst0} and e.union = {yes}"}),
+      JoinFields({"musicians", "e.plays ]= {inst2} or e.plays ]= {inst3}"}),
+      JoinFields({"music_groups", "e.size = {3}"}),
+      JoinFields(
+          {"music_groups", "e.size = {4} and e.members.plays ]= {inst1}"}),
+      JoinFields({"instruments", "e.popular = {yes}"}),
+      JoinFields({"music_groups", "e.includes ]= {family0}"}),
   };
 
   std::mt19937 rng(20260808);
@@ -393,52 +433,234 @@ TEST(ResultCacheOracleTest, RandomizedInterleavingMatchesUncachedServer) {
       const std::string musician =
           "musician" + std::to_string(rng() % (16 * kScale));
       const std::string inst = "inst" + std::to_string(rng() % (2 * kScale));
-      Status cs =
-          cached_clients[s]->Assign("musicians", musician, "plays", inst);
-      Status ps =
-          plain_clients[s]->Assign("musicians", musician, "plays", inst);
-      ASSERT_EQ(cs.ok(), ps.ok()) << cs.ToString() << " vs " << ps.ToString();
+      auto [c, p] = twins.Call(
+          s, MsgType::kAssign, JoinFields({"musicians", musician, "plays", inst}));
+      ASSERT_EQ(c.type, MsgType::kOk) << c.payload;
+      ASSERT_EQ(p.type, MsgType::kOk) << p.payload;
     } else if (kind == 1) {
       // Explain: identical plans; only the trailing cache line may differ
       // (hit/miss vs bypass).
-      const auto& q = pool[rng() % pool.size()];
-      Result<Frame> cf = cached_clients[s]->Call(
-          MsgType::kExplain, JoinFields({q.first, q.second}));
-      Result<Frame> pf = plain_clients[s]->Call(
-          MsgType::kExplain, JoinFields({q.first, q.second}));
-      ASSERT_TRUE(cf.ok());
-      ASSERT_TRUE(pf.ok());
-      EXPECT_EQ(StripCacheLine(cf->payload), StripCacheLine(pf->payload));
-      EXPECT_EQ(pf->payload.substr(StripCacheLine(pf->payload).size()),
+      auto [c, p] = twins.Call(s, MsgType::kExplain, pool[rng() % pool.size()]);
+      EXPECT_EQ(StripCacheLine(c.payload), StripCacheLine(p.payload));
+      EXPECT_EQ(p.payload.substr(StripCacheLine(p.payload).size()),
                 "\ncache: bypass")
           << "an uncached server's explain must report bypass";
     } else {
       // Query: byte-identical payloads, every time.
-      const auto& q = pool[rng() % pool.size()];
-      Result<Frame> cf = cached_clients[s]->Call(
-          MsgType::kQuery, JoinFields({q.first, q.second}));
-      Result<Frame> pf = plain_clients[s]->Call(
-          MsgType::kQuery, JoinFields({q.first, q.second}));
-      ASSERT_TRUE(cf.ok());
-      ASSERT_TRUE(pf.ok());
-      ASSERT_EQ(cf->type, MsgType::kQueryResult);
-      ASSERT_EQ(pf->type, MsgType::kQueryResult);
-      ASSERT_EQ(cf->payload, pf->payload)
-          << "op " << op << " query " << q.first << " " << q.second;
+      const std::string& q = pool[rng() % pool.size()];
+      auto [c, p] = twins.Call(s, MsgType::kQuery, q);
+      ASSERT_EQ(c.type, MsgType::kQueryResult);
+      ASSERT_EQ(p.type, MsgType::kQueryResult);
+      ASSERT_EQ(c.payload, p.payload) << "op " << op << " query " << q;
     }
   }
 
-  // The cache must have actually been exercised, or this test proves
-  // nothing.
-  ASSERT_NE(cached->result_cache(), nullptr);
-  EXPECT_GT(cached->result_cache()->counters().hits, 0);
-  EXPECT_GT(cached->result_cache()->counters().invalidations +
-                cached->result_cache()->counters().version_flushes +
-                cached->result_cache()->counters().schema_flushes,
+  // The cache must have actually been exercised, at both levels, or this
+  // test proves nothing.
+  ASSERT_NE(twins.cached->result_cache(), nullptr);
+  const ResultCache::Counters counters = twins.counters();
+  EXPECT_GT(counters.hits, 0);
+  EXPECT_GT(counters.reply_hits, 0);
+  EXPECT_GT(counters.invalidations + counters.version_flushes +
+                counters.schema_flushes,
             0);
-  EXPECT_EQ(plain->result_cache(), nullptr);
-  cached->Shutdown();
-  plain->Shutdown();
+  EXPECT_EQ(twins.plain->result_cache(), nullptr);
+  twins.cached->Shutdown();
+  twins.plain->Shutdown();
+}
+
+TEST(ResultCacheOracleTest, RenamesMatchUncachedServer) {
+  constexpr int kScale = 2;  // 32 musicians, 4 instruments.
+  constexpr int kSessions = 2;
+  constexpr int kOps = 3000;
+
+  TwinServers twins;
+  ASSERT_NO_FATAL_FAILURE(twins.Open(kScale, kSessions));
+
+  // Replies that print musicians' and instruments' names, and texts whose
+  // constants the instrument swap below moves.
+  const std::vector<std::string> pool = {
+      JoinFields({"musicians", "e.plays ]= {inst0}"}),
+      JoinFields({"musicians", "e.plays ]= {inst1}"}),
+      JoinFields({"musicians", "e.plays ~ {inst0,inst2}"}),
+      JoinFields({"musicians", "e.plays ]= {inst3} or e.union = {yes}"}),
+      JoinFields({"musicians", "e.plays.family ]= {family0}"}),
+      JoinFields({"music_groups", "e.members.plays ]= {inst1}"}),
+      JoinFields({"instruments", "e.popular = {yes}"}),
+      JoinFields({"instruments", "e.family = {family1}"}),
+  };
+  // Musician i is named "musician<i>", or "mx<i>" while renamed.
+  std::vector<bool> renamed(16 * kScale, false);
+  auto musician = [&](std::size_t i) {
+    return (renamed[i] ? "mx" : "musician") + std::to_string(i);
+  };
+  // The instrument swap, one step at a time, round and round: inst0 takes
+  // a fresh name, so `{inst0}` texts answer kError; then inst1 takes the
+  // name inst0, so they resolve to another instrument and `{inst1}` texts
+  // answer kError; then both names go back.
+  const std::vector<std::pair<std::string, std::string>> swap = {
+      {"inst0", "ix0"}, {"inst1", "inst0"}, {"inst0", "inst1"}, {"ix0", "inst0"}};
+  std::size_t swap_step = 0;
+
+  int errors = 0;
+  std::mt19937 rng(20261019);
+  for (int op = 0; op < kOps; ++op) {
+    const int s = static_cast<int>(rng() % kSessions);
+    const int kind = static_cast<int>(rng() % 20);
+    std::string write;
+    if (kind == 0) {
+      // Rename a musician, or rename it back.
+      const std::size_t i = rng() % renamed.size();
+      const std::string from = musician(i);
+      renamed[i] = !renamed[i];
+      write = JoinFields({"musicians", from, "stage_name", musician(i)});
+    } else if (kind == 1) {
+      const auto& [from, to] = swap[swap_step];
+      swap_step = (swap_step + 1) % swap.size();
+      write = JoinFields({"instruments", from, "name", to});
+    } else if (kind == 2) {
+      // Membership churn; the instrument's name may be away (kError).
+      write = JoinFields({"musicians", musician(rng() % renamed.size()),
+                          "plays", "inst" + std::to_string(rng() % 4)});
+    }
+    const std::string& payload =
+        write.empty() ? pool[rng() % pool.size()] : write;
+    auto [c, p] = twins.Call(s, write.empty() ? MsgType::kQuery
+                                              : MsgType::kAssign,
+                             payload);
+    ASSERT_EQ(c.type, p.type) << "op " << op << " " << payload << ": "
+                              << c.payload << " vs " << p.payload;
+    ASSERT_EQ(c.payload, p.payload) << "op " << op << " " << payload;
+    if (write.empty() && p.type == MsgType::kError) ++errors;
+  }
+
+  // Every kind of answer was served: replies, stale replies dropped, and
+  // texts whose constant was away.
+  const ResultCache::Counters counters = twins.counters();
+  EXPECT_GT(counters.reply_hits, 0);
+  EXPECT_GT(counters.invalidations, 0);
+  EXPECT_GT(errors, 0);
+  twins.cached->Shutdown();
+  twins.plain->Shutdown();
+}
+
+// --- Reply entries (query/cache.h, rule 3), against an uncached twin. ---
+
+/// Sends `lines` as gestures to both servers on session 0; each must
+/// answer a screen.
+void Gestures(TwinServers* twins, std::initializer_list<const char*> lines) {
+  for (const char* line : lines) {
+    auto [c, p] = twins->Call(0, MsgType::kEvent, line);
+    EXPECT_EQ(c.type, MsgType::kScreen) << line << ": " << c.payload;
+    EXPECT_EQ(p.type, MsgType::kScreen) << line << ": " << p.payload;
+  }
+}
+
+TEST(ResultCacheReplyTest, SecondRequestStoresTheReplyAndTheThirdHitsIt) {
+  TwinServers twins;
+  ASSERT_NO_FATAL_FAILURE(twins.Open(1, 1));
+  const std::string q = JoinFields({"musicians", "e.plays ]= {inst0}"});
+
+  twins.Same(0, MsgType::kQuery, q);  // Evaluates: the id-set only.
+  ResultCache::Counters c = twins.counters();
+  EXPECT_EQ(c.misses, 1);
+  EXPECT_EQ(c.insertions, 1);
+  twins.Same(0, MsgType::kQuery, q);  // Reuses the id-set: stores the reply.
+  c = twins.counters();
+  EXPECT_EQ(c.hits, 1);
+  EXPECT_EQ(c.reply_hits, 0);
+  EXPECT_EQ(c.insertions, 2);
+  EXPECT_EQ(twins.cached->result_cache()->size(), 2);
+  twins.Same(0, MsgType::kQuery, q);  // Answered from the reply.
+  c = twins.counters();
+  EXPECT_EQ(c.hits, 2);
+  EXPECT_EQ(c.reply_hits, 1);
+  EXPECT_EQ(c.misses, 1);
+  EXPECT_EQ(c.insertions, 2);
+
+  // One request, one hit or miss: the stats line carries both counts.
+  Result<Frame> stats = twins.cached_clients[0]->Call(MsgType::kStats, "");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_NE(stats->payload.find("\"cache_hits\": 2, \"cache_reply_hits\": 1, "
+                                "\"cache_misses\": 1, "),
+            std::string::npos)
+      << stats->payload;
+}
+
+TEST(ResultCacheReplyTest, ClassRenameStalesTheReply) {
+  TwinServers twins;
+  ASSERT_NO_FATAL_FAILURE(twins.Open(1, 1));
+  const std::string q = JoinFields({"musicians", "e.plays ]= {inst0}"});
+  const Frame before = twins.Same(0, MsgType::kQuery, q);
+  for (int i = 0; i < 2; ++i) twins.Same(0, MsgType::kQuery, q);
+  ASSERT_EQ(twins.counters().reply_hits, 1);
+
+  // A class rename moves no change counter, only the schema generation.
+  Gestures(&twins, {"pick class:musicians", "cmd (re)name", "type players"});
+  EXPECT_EQ(twins.Same(0, MsgType::kQuery, q).type, MsgType::kError);
+  const Frame renamed = twins.Same(
+      0, MsgType::kQuery, JoinFields({"players", "e.plays ]= {inst0}"}));
+  EXPECT_EQ(renamed.type, MsgType::kQueryResult);
+  EXPECT_EQ(renamed.payload, before.payload);
+  EXPECT_EQ(twins.counters().reply_hits, 1);
+}
+
+TEST(ResultCacheReplyTest, AttributeRenameStalesTheReply) {
+  TwinServers twins;
+  ASSERT_NO_FATAL_FAILURE(twins.Open(1, 1));
+  const std::string q = JoinFields({"musicians", "e.plays ]= {inst0}"});
+  const Frame before = twins.Same(0, MsgType::kQuery, q);
+  for (int i = 0; i < 2; ++i) twins.Same(0, MsgType::kQuery, q);
+  ASSERT_EQ(twins.counters().reply_hits, 1);
+
+  Gestures(&twins, {"pick attr:plays", "cmd (re)name", "type performs"});
+  EXPECT_EQ(twins.Same(0, MsgType::kQuery, q).type, MsgType::kError);
+  const Frame renamed = twins.Same(
+      0, MsgType::kQuery, JoinFields({"musicians", "e.performs ]= {inst0}"}));
+  EXPECT_EQ(renamed.type, MsgType::kQueryResult);
+  EXPECT_EQ(renamed.payload, before.payload);
+  EXPECT_EQ(twins.counters().reply_hits, 1);
+}
+
+TEST(ResultCacheReplyTest, UnrelatedWriteKeepsTheReply) {
+  TwinServers twins;
+  ASSERT_NO_FATAL_FAILURE(twins.Open(1, 1));
+  const std::string q = JoinFields({"musicians", "e.plays ]= {inst0}"});
+  for (int i = 0; i < 3; ++i) twins.Same(0, MsgType::kQuery, q);
+  ASSERT_EQ(twins.counters().reply_hits, 1);
+
+  // `union` is neither read by the query nor a name its reply prints.
+  EXPECT_EQ(twins
+                .Same(0, MsgType::kAssign,
+                      JoinFields({"musicians", "musician1", "union", "no"}))
+                .type,
+            MsgType::kOk);
+  twins.Same(0, MsgType::kQuery, q);
+  EXPECT_EQ(twins.counters().reply_hits, 2);
+  EXPECT_EQ(twins.counters().invalidations, 0);
+}
+
+TEST(ResultCacheReplyTest, ExplainReportsAReplyHit) {
+  // Two entries fit: the third evicts the id-set the reply was made from.
+  TwinServers twins;
+  ASSERT_NO_FATAL_FAILURE(twins.Open(1, 1, /*capacity=*/2));
+  const std::string q = JoinFields({"musicians", "e.plays ]= {inst0}"});
+  for (int i = 0; i < 3; ++i) twins.Same(0, MsgType::kQuery, q);
+  ASSERT_EQ(twins.counters().reply_hits, 1);
+  twins.Same(0, MsgType::kQuery,
+             JoinFields({"musicians", "e.plays ]= {inst1}"}));
+  ASSERT_EQ(twins.counters().evictions, 1);
+
+  const ResultCache::Counters before = twins.counters();
+  auto [c, p] = twins.Call(0, MsgType::kExplain, q);
+  EXPECT_EQ(StripCacheLine(c.payload), StripCacheLine(p.payload));
+  EXPECT_EQ(c.payload.substr(StripCacheLine(c.payload).size()),
+            "\ncache: hit");
+  // The peek is stats-neutral, and the query is indeed a reply hit.
+  EXPECT_EQ(twins.counters().hits, before.hits);
+  EXPECT_EQ(twins.counters().misses, before.misses);
+  twins.Same(0, MsgType::kQuery, q);
+  EXPECT_EQ(twins.counters().reply_hits, 2);
 }
 
 // --- Concurrent convergence (the TSan target). ---
