@@ -1,9 +1,9 @@
 /// \file bench_live_views.cpp
 /// \brief Live-view maintenance vs whole-catalog recomputation.
 ///
-/// The seed's only way to keep stored derived subclasses, derived attributes
-/// and constraints fresh was Workspace::ReevaluateAll after every edit — a
-/// full scan of every view. The live engine maintains the same state from
+/// The seed's only way to keep stored derived subclasses and derived
+/// attributes fresh was Workspace::ReevaluateAll after every edit — a full
+/// scan of every view. The live engine maintains the same state from
 /// mutation deltas. This bench applies identical point-mutation streams
 /// (toggling a random musician's `plays`) to scaled_music databases at
 /// several scales and times both strategies end to end, emitting one
@@ -11,21 +11,24 @@
 ///
 ///   {"name":"live_views","mode":"incremental","scale":64,"ns_per_op":...}
 ///
-/// plus the engine's per-view counters for the incremental runs. A custom
-/// main (not Google Benchmark): the recompute arm at large scales is far too
-/// slow for statistical repetition, and the JSON-lines contract is the
-/// point.
+/// plus the engine's per-view counters for the incremental runs. The bench
+/// also checks itself: at each scale both arms must end in the same state
+/// (store::Save of each), or it exits 1. A custom main (not Google
+/// Benchmark): the recompute arm at large scales is far too slow for
+/// statistical repetition, and the JSON-lines contract is the point.
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "datasets/scaled_music.h"
 #include "live/engine.h"
 #include "query/workspace.h"
+#include "store/serializer.h"
 
 namespace {
 
@@ -47,7 +50,8 @@ using isis::sdm::Membership;
 
 /// scaled_music ships no derived views; install the bench's catalog: a
 /// derived subclass over a constant instrument set, a view-feeds-view
-/// subclass chain, a two-step derived attribute, and one constraint.
+/// subclass chain, a two-step derived attribute, and one constraint (not a
+/// view: neither arm maintains it, a check reads the data on demand).
 void DefineViews(Workspace* ws, const ScaledMusicHandles& h) {
   isis::sdm::Database& db = ws->db();
   // Instruments of family0 stand in for the paper's strings.
@@ -101,8 +105,9 @@ void DefineViews(Workspace* ws, const ScaledMusicHandles& h) {
 }
 
 /// Runs `ops` random plays-toggles; keeps every view fresh either through an
-/// attached engine or by ReevaluateAll after each mutation. Returns ns/op.
-double RunConfig(int scale, bool incremental, int ops) {
+/// attached engine or by ReevaluateAll after each mutation. Returns ns/op;
+/// `*saved` receives store::Save of the final state.
+double RunConfig(int scale, bool incremental, int ops, std::string* saved) {
   auto ws = BuildScaledMusic(scale, /*seed=*/7);
   ScaledMusicHandles h = ResolveScaledMusic(*ws);
   DefineViews(ws.get(), h);
@@ -129,6 +134,7 @@ double RunConfig(int scale, bool incremental, int ops) {
     if (!incremental) (void)ws->ReevaluateAll();
   }
   auto t1 = std::chrono::steady_clock::now();
+  *saved = isis::store::Save(*ws);
 
   if (engine != nullptr) {
     for (const isis::live::ViewStats& vs : engine->AllViewStats()) {
@@ -152,15 +158,26 @@ double RunConfig(int scale, bool incremental, int ops) {
 
 int main() {
   const int kOps = 100;
+  int diverged = 0;
   for (int scale : {4, 16, 64}) {
+    std::string saved[2];  // incremental, recompute
     for (bool incremental : {true, false}) {
-      double ns = RunConfig(scale, incremental, kOps);
+      double ns =
+          RunConfig(scale, incremental, kOps, &saved[incremental ? 0 : 1]);
       std::printf(
           "{\"name\":\"live_views\",\"mode\":\"%s\",\"scale\":%d,"
           "\"ns_per_op\":%.0f}\n",
           incremental ? "incremental" : "recompute", scale, ns);
       std::fflush(stdout);
     }
+    // Same database, same mutation stream: the arms must agree.
+    if (saved[0] != saved[1]) {
+      std::fprintf(stderr,
+                   "bench_live_views: at scale %d the incremental arm's final "
+                   "state differs from the recompute arm's\n",
+                   scale);
+      ++diverged;
+    }
   }
-  return 0;
+  return diverged == 0 ? 0 : 1;
 }

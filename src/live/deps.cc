@@ -122,16 +122,6 @@ DepSet AnalyzeAttribute(const Schema& schema, const AttributeDef& def,
   return deps;
 }
 
-DepSet AnalyzeConstraint(const Schema& schema,
-                         const query::Constraint& constraint) {
-  DepSet deps;
-  if (!schema.HasClass(constraint.cls)) return deps;
-  deps.candidate_classes.insert(constraint.cls.value());
-  AnalyzePredicate(schema, constraint.predicate, constraint.cls, ClassId(),
-                   &deps);
-  return deps;
-}
-
 DepSet AnalyzeAdHoc(const Schema& schema, ClassId cls,
                     const query::Predicate& pred) {
   DepSet deps;

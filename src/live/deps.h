@@ -14,7 +14,8 @@
 ///
 /// The buckets deliberately over-approximate (a routed retest that finds
 /// nothing to change is a no-op), which is what keeps the engine's results
-/// identical to Workspace::ReevaluateAll.
+/// identical to Workspace::ReevaluateAll. The same analysis gives the
+/// query-result cache the read set of an ad-hoc query (AnalyzeAdHoc).
 
 #ifndef ISIS_LIVE_DEPS_H_
 #define ISIS_LIVE_DEPS_H_
@@ -23,7 +24,6 @@
 
 #include "common/ids.h"
 #include "query/cache.h"
-#include "query/constraints.h"
 #include "query/predicate.h"
 #include "sdm/schema.h"
 
@@ -32,7 +32,8 @@ namespace isis::live {
 /// The read set of one stored view, bucketed by routing precision.
 struct DepSet {
   /// Membership change in one of these ⇒ retest the changed entity as a
-  /// candidate (subclass parents; attribute value class; constraint class).
+  /// candidate (subclass parents; attribute value class; ad-hoc query
+  /// class).
   std::set<std::int64_t> candidate_classes;
   /// Membership change ⇒ recompute/drop the changed entity as an owner
   /// (derived attributes only).
@@ -59,10 +60,6 @@ DepSet AnalyzeSubclass(const sdm::Schema& schema, ClassId cls,
 /// Read set of a derived attribute's stored derivation.
 DepSet AnalyzeAttribute(const sdm::Schema& schema, const sdm::AttributeDef& def,
                         const query::AttributeDerivation& derivation);
-
-/// Read set of a stored constraint.
-DepSet AnalyzeConstraint(const sdm::Schema& schema,
-                         const query::Constraint& constraint);
 
 /// Read set of an ad-hoc query `{ e in members(cls) | pred }` — the shape
 /// the server's kQuery request evaluates. Unlike AnalyzeSubclass the

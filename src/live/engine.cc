@@ -9,8 +9,6 @@
 namespace isis::live {
 
 using query::AttributeDerivation;
-using query::Constraint;
-using query::ConstraintViolation;
 using query::Evaluator;
 using query::PlannedPredicate;
 using query::Predicate;
@@ -22,7 +20,6 @@ using sdm::kNullEntity;
 LiveViewEngine::LiveViewEngine(query::Workspace* ws, int max_rounds)
     : ws_(ws), db_(&ws->db()), max_rounds_(max_rounds) {
   RebuildIndex();
-  RecomputeViolatorsBaseline();
   db_->AddObserver(this);
 }
 
@@ -32,9 +29,8 @@ LiveViewEngine::~LiveViewEngine() { db_->RemoveObserver(this); }
 
 void LiveViewEngine::OnMembership(EntityId e, ClassId cls, bool added) {
   ++stats_.deltas_seen;
-  if (subclass_view_of_.count(cls.value()) > 0) {
-    CountDerivedDelta(0, cls.value(), e);
-  }
+  auto view = subclass_view_of_.find(cls.value());
+  if (view != subclass_view_of_.end()) CountDerivedDelta(view->second, e);
   Delta d;
   d.kind = Delta::Kind::kMembership;
   d.e = e;
@@ -49,9 +45,8 @@ void LiveViewEngine::OnAttributeValue(EntityId e, AttributeId attr,
   (void)before;
   (void)after;  // a retest recomputes from current state; sets not needed
   ++stats_.deltas_seen;
-  if (attr_view_of_.count(attr.value()) > 0) {
-    CountDerivedDelta(1, attr.value(), e);
-  }
+  auto view = attr_view_of_.find(attr.value());
+  if (view != attr_view_of_.end()) CountDerivedDelta(view->second, e);
   Delta d;
   d.kind = Delta::Kind::kAttribute;
   d.e = e;
@@ -90,51 +85,10 @@ std::vector<ViewStats> LiveViewEngine::AllViewStats() const {
   return out;
 }
 
-std::vector<ConstraintViolation> LiveViewEngine::Violations() {
-  // Constraint definitions do not touch the database, so no settled
-  // notification fires for them; catch up here if the catalog moved.
-  if (!draining_ && ws_->catalog_version() != seen_catalog_version_) Drain();
-  std::vector<ConstraintViolation> out;
-  for (const Constraint* c : ws_->constraints().All()) {
-    if (!db_->schema().HasClass(c->cls)) {
-      // Mirrors ConstraintCatalog::CheckAll: a constraint over a vanished
-      // class is itself a violation, with no violators.
-      out.push_back(ConstraintViolation{c->name, ClassId(), {}});
-      continue;
-    }
-    auto it = violators_.find(c->name);
-    if (it != violators_.end() && !it->second.empty()) {
-      out.push_back(ConstraintViolation{c->name, c->cls, it->second});
-    }
-  }
+Status LiveViewEngine::TakeError() {
+  Status out = std::move(pending_error_);
+  pending_error_ = Status::OK();
   return out;
-}
-
-void LiveViewEngine::FullResync() {
-  if (draining_) return;
-  draining_ = true;
-  drain_counts_.clear();
-  abort_drain_ = false;
-  Resync();
-  while (!queue_.empty() && !abort_drain_) {
-    Delta d = queue_.front();
-    queue_.pop_front();
-    switch (d.kind) {
-      case Delta::Kind::kSchema:
-        queue_.clear();
-        Resync();
-        break;
-      case Delta::Kind::kMembership:
-        ApplyMembershipDelta(d);
-        break;
-      case Delta::Kind::kAttribute:
-        ApplyAttributeDelta(d);
-        break;
-    }
-  }
-  if (abort_drain_) queue_.clear();
-  drain_counts_.clear();
-  draining_ = false;
 }
 
 // --- Maintenance. ---
@@ -167,17 +121,22 @@ void LiveViewEngine::Drain() {
         break;
     }
   }
-  if (abort_drain_) queue_.clear();
+  if (abort_drain_) {
+    // The queued deltas are dropped, so no view can be trusted any more:
+    // the next settle re-derives everything, and reports the cycle again
+    // for as long as it lasts.
+    queue_.clear();
+    seen_catalog_version_ = -1;
+  }
   drain_counts_.clear();
   draining_ = false;
 }
 
 void LiveViewEngine::Resync() {
   RebuildIndex();
-  for (View& v : views_) {
-    if (abort_drain_) return;
-    FullRecompute(&v);
-  }
+  // Every view once, even past a cycle abort, so that one cyclic view
+  // leaves no other view stale.
+  for (View& v : views_) FullRecompute(&v);
 }
 
 void LiveViewEngine::ApplyMembershipDelta(const Delta& d) {
@@ -235,8 +194,8 @@ void LiveViewEngine::RetestCandidate(View* v, EntityId e) {
           candidate && PlannedPredicate(*db_, *pred, v->cls).Test(e);
       bool is = db_->IsMember(e, v->cls);
       if (should == is) return;
-      Note(should ? db_->AddToDerivedClass(e, v->cls)
-                  : db_->RemoveFromClass(e, v->cls));
+      Note(*v, should ? db_->AddToDerivedClass(e, v->cls)
+                      : db_->RemoveFromClass(e, v->cls));
       return;
     }
     case View::Kind::kAttribute: {
@@ -269,27 +228,10 @@ void LiveViewEngine::RetestCandidate(View* v, EntityId e) {
                                    : eval.EvalPredicate(der->predicate, e, x));
         bool is = db_->GetMulti(x, v->attr).count(e) > 0;
         if (should && !is) {
-          Note(db_->AddToMulti(x, v->attr, e));
+          Note(*v, db_->AddToMulti(x, v->attr, e));
         } else if (!should && is) {
-          Note(db_->RemoveFromMulti(x, v->attr, e));
+          Note(*v, db_->RemoveFromMulti(x, v->attr, e));
         }
-      }
-      return;
-    }
-    case View::Kind::kConstraint: {
-      ++v->stats.entities_retested;
-      if (!db_->schema().HasClass(v->cls)) return;
-      const Constraint* c = ws_->constraints().Find(v->constraint);
-      if (c == nullptr) return;
-      bool member =
-          e != kNullEntity && db_->HasEntity(e) && db_->IsMember(e, v->cls);
-      bool violates =
-          member && !PlannedPredicate(*db_, c->predicate, v->cls).Test(e);
-      EntitySet& set = violators_[v->constraint];
-      if (violates) {
-        set.insert(e);
-      } else {
-        set.erase(e);
       }
       return;
     }
@@ -305,7 +247,8 @@ void LiveViewEngine::RecomputeOwner(View* v, EntityId x) {
   if (x == kNullEntity || !db_->HasEntity(x) || !db_->IsMember(x, def.owner)) {
     return;
   }
-  Note(db_->SetMulti(x, v->attr, ws_->ComputeAttributeValue(*der, def, x)));
+  Note(*v,
+       db_->SetMulti(x, v->attr, ws_->ComputeAttributeValue(*der, def, x)));
 }
 
 void LiveViewEngine::FullRecompute(View* v) {
@@ -313,22 +256,12 @@ void LiveViewEngine::FullRecompute(View* v) {
   switch (v->kind) {
     case View::Kind::kSubclass: {
       Status st = ws_->ReevaluateSubclass(v->cls);
-      if (!st.ok() && !st.IsNotFound()) Note(st);
+      if (!st.IsNotFound()) Note(*v, st);
       return;
     }
     case View::Kind::kAttribute: {
       Status st = ws_->ReevaluateAttribute(v->attr);
-      if (!st.ok() && !st.IsNotFound()) Note(st);
-      return;
-    }
-    case View::Kind::kConstraint: {
-      Result<ConstraintViolation> r =
-          ws_->constraints().Check(*db_, v->constraint);
-      if (r.ok()) {
-        violators_[v->constraint] = std::move(r->violators);
-      } else {
-        violators_.erase(v->constraint);
-      }
+      if (!st.IsNotFound()) Note(*v, st);
       return;
     }
   }
@@ -337,17 +270,7 @@ void LiveViewEngine::FullRecompute(View* v) {
 void LiveViewEngine::RebuildIndex() {
   // Counters survive index rebuilds: key by object identity.
   std::map<std::pair<int, std::int64_t>, ViewStats> old_stats;
-  std::map<std::string, ViewStats> old_constraint_stats;
-  for (View& v : views_) {
-    if (v.kind == View::Kind::kConstraint) {
-      old_constraint_stats[v.constraint] = std::move(v.stats);
-    } else {
-      int tag = v.kind == View::Kind::kSubclass ? 0 : 1;
-      std::int64_t id =
-          tag == 0 ? v.cls.value() : v.attr.value();
-      old_stats[{tag, id}] = std::move(v.stats);
-    }
-  }
+  for (View& v : views_) old_stats[ObjectOf(v)] = std::move(v.stats);
   views_.clear();
   by_candidate_class_.clear();
   by_owner_class_.clear();
@@ -385,17 +308,6 @@ void LiveViewEngine::RebuildIndex() {
     attr_view_of_[attr_raw] = static_cast<int>(views_.size());
     views_.push_back(std::move(v));
   }
-  for (const Constraint* c : ws_->constraints().All()) {
-    View v;
-    v.kind = View::Kind::kConstraint;
-    v.cls = c->cls;
-    v.constraint = c->name;
-    v.deps = AnalyzeConstraint(schema, *c);
-    auto it = old_constraint_stats.find(c->name);
-    if (it != old_constraint_stats.end()) v.stats = std::move(it->second);
-    v.stats.name = c->name;
-    views_.push_back(std::move(v));
-  }
 
   for (size_t i = 0; i < views_.size(); ++i) {
     int vi = static_cast<int>(i);
@@ -414,42 +326,45 @@ void LiveViewEngine::RebuildIndex() {
     for (std::int64_t a : deps.coarse_attrs) by_coarse_attr_[a].push_back(vi);
   }
 
-  // Drop violator sets of constraints that no longer exist.
-  for (auto it = violators_.begin(); it != violators_.end();) {
-    if (ws_->constraints().Has(it->first)) {
-      ++it;
-    } else {
-      it = violators_.erase(it);
-    }
-  }
-
   seen_catalog_version_ = ws_->catalog_version();
   ++stats_.index_rebuilds;
 }
 
-void LiveViewEngine::RecomputeViolatorsBaseline() {
-  violators_.clear();
-  for (const Constraint* c : ws_->constraints().All()) {
-    Result<ConstraintViolation> r = ws_->constraints().Check(*db_, c->name);
-    if (r.ok()) violators_[c->name] = std::move(r->violators);
-  }
+void LiveViewEngine::Note(const View& v, const Status& st) {
+  if (st.ok() || !pending_error_.ok()) return;
+  pending_error_ =
+      Status(st.code(), "maintaining " + Describe(v) + ": " + st.message());
 }
 
-void LiveViewEngine::Note(const Status& st) {
-  if (!st.ok() && last_error_.ok()) last_error_ = st;
-}
-
-void LiveViewEngine::CountDerivedDelta(int kind_tag, std::int64_t object,
-                                       EntityId e) {
+void LiveViewEngine::CountDerivedDelta(int vi, EntityId e) {
   if (!draining_ || abort_drain_) return;
-  int& n = drain_counts_[{kind_tag, object, e.value()}];
+  const View& v = views_[vi];
+  const auto [kind, object] = ObjectOf(v);
+  int& n = drain_counts_[{kind, object, e.value()}];
   if (++n > max_rounds_) {
     abort_drain_ = true;
-    if (last_error_.ok()) {
-      last_error_ = Status::Consistency(
-          "live maintenance did not reach a fixpoint (cyclic derivation?)");
+    if (pending_error_.ok()) {
+      pending_error_ = Status::Consistency(
+          "live maintenance of " + Describe(v) +
+          " did not reach a fixpoint within " + std::to_string(max_rounds_) +
+          " rounds (cyclic derivation?)");
     }
   }
+}
+
+std::string LiveViewEngine::Describe(const View& v) const {
+  // The schema's current name: a rename does not rebuild the index, so
+  // stats.name may be older.
+  const sdm::Schema& schema = db_->schema();
+  return v.kind == View::Kind::kSubclass
+             ? "derived class '" + schema.GetClass(v.cls).name + "'"
+             : "derived attribute '" + schema.GetAttribute(v.attr).name + "'";
+}
+
+std::pair<int, std::int64_t> LiveViewEngine::ObjectOf(const View& v) {
+  return v.kind == View::Kind::kSubclass
+             ? std::pair<int, std::int64_t>{0, v.cls.value()}
+             : std::pair<int, std::int64_t>{1, v.attr.value()};
 }
 
 }  // namespace isis::live

@@ -1,23 +1,32 @@
 /// \file engine.h
 /// \brief LiveViewEngine: incremental maintenance of stored derived
-/// subclasses, derived attributes and constraints.
+/// subclasses and derived attributes.
 ///
-/// The seed kept stored queries fresh only through Workspace::ReevaluateAll,
-/// a whole-catalog full-scan fixpoint run by hand. The engine replaces that
-/// with materialized-view maintenance: it registers as a MutationObserver on
-/// the workspace's database, queues the typed deltas each mutation emits,
-/// and — once the outermost mutation returns (OnMutationsSettled) — drains
-/// the queue, re-testing only the affected candidate entities against only
-/// the views whose dependency set (live/deps.h) covers the delta. The
-/// engine's own corrective writes emit deltas too, which is exactly how
-/// view-feeds-view cascades propagate; a per-drain oscillation bound (the
-/// same 16 as ReevaluateAll's round bound) turns cyclic derivations into a
-/// recorded Consistency error instead of an endless loop.
+/// Every stored query is a derived class or attribute (paper §2), so every
+/// edit must leave the stored views equal to their predicates. The engine is
+/// the one code that does so: each ui::SessionController attaches one to the
+/// workspace it owns, and a server::Server attaches one shared by all its
+/// sessions. It registers as a MutationObserver on the workspace's database,
+/// queues the typed deltas each mutation emits, and — once the outermost
+/// mutation returns (OnMutationsSettled) — drains the queue, re-testing only
+/// the affected candidate entities against only the views whose dependency
+/// set (live/deps.h) covers the delta. The engine's own corrective writes
+/// emit deltas too, which is exactly how view-feeds-view cascades
+/// propagate; a per-drain oscillation bound (the same 16 as
+/// Workspace::ReevaluateAll's round bound) turns cyclic derivations into a
+/// Consistency error instead of an endless loop.
 ///
 /// Coarse deltas (schema edits, class extents read wholesale, deep map
 /// steps) fall back to per-view full recomputes via the workspace's own
 /// Reevaluate* entry points, so results are identical to ReevaluateAll by
 /// construction — asserted property-style by tests/live_engine_test.cpp.
+/// Constraints are not views: a constraint check reads the data on demand
+/// (query::ConstraintCatalog).
+///
+/// A maintenance failure never undoes the edit that triggered it. The
+/// engine keeps the first one as its pending error, and whoever applied
+/// the edit collects it with TakeError() and reports it: the controller on
+/// the message line, the server's assign as kError, recovery in its log.
 
 #ifndef ISIS_LIVE_ENGINE_H_
 #define ISIS_LIVE_ENGINE_H_
@@ -27,6 +36,7 @@
 #include <map>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "live/deps.h"
@@ -39,9 +49,9 @@ namespace isis::live {
 /// \brief Incremental maintainer attached to one Workspace.
 ///
 /// The engine assumes the workspace's derived data is consistent when it
-/// attaches (datasets and freshly-defined views are; call FullResync after
-/// attaching to a stale workspace). It must be destroyed (or the workspace
-/// must outlive it) before the workspace goes away.
+/// attaches (datasets, freshly-defined views and loaded checkpoints are).
+/// It must be destroyed (or the workspace must outlive it) before the
+/// workspace goes away.
 class LiveViewEngine : public sdm::MutationObserver {
  public:
   /// Attaches to `ws`'s database. `max_rounds` bounds per-drain oscillation
@@ -64,26 +74,18 @@ class LiveViewEngine : public sdm::MutationObserver {
   // --- Introspection. ---
 
   const EngineStats& stats() const { return stats_; }
-  /// Counters of the view named `name` (class/attribute/constraint name);
-  /// nullptr if no such view.
+  /// Counters of the view named `name` (class or attribute name); nullptr
+  /// if no such view.
   const ViewStats* FindViewStats(const std::string& name) const;
   /// Counters of every view in index order.
   std::vector<ViewStats> AllViewStats() const;
 
-  /// Incrementally maintained constraint violations; same contents as
-  /// Workspace::CheckConstraints. Non-const: defining a constraint touches
-  /// no database state, so this is where the engine catches up on
-  /// catalog-only changes.
-  std::vector<query::ConstraintViolation> Violations();
-
-  /// Consistency error recorded when a drain hit the oscillation bound (a
-  /// cyclic derivation) or a corrective write failed; sticky until cleared.
-  const Status& last_error() const { return last_error_; }
-  void ClearLastError() { last_error_ = Status::OK(); }
-
-  /// Rebuilds the dependency index and fully recomputes every view — the
-  /// hard-sync fallback (schema edits route here automatically).
-  void FullResync();
+  /// Returns the first maintenance failure since the last call and clears
+  /// it: a Consistency error naming the view whose drain hit the
+  /// oscillation bound (a cyclic derivation), or the status of a failed
+  /// corrective write prefixed with the view it was maintaining. OK when
+  /// maintenance kept up.
+  Status TakeError();
 
  private:
   struct Delta {
@@ -96,11 +98,10 @@ class LiveViewEngine : public sdm::MutationObserver {
   };
 
   struct View {
-    enum class Kind { kSubclass, kAttribute, kConstraint };
+    enum class Kind { kSubclass, kAttribute };
     Kind kind = Kind::kSubclass;
-    ClassId cls;              ///< kSubclass / kConstraint.
-    AttributeId attr;         ///< kAttribute.
-    std::string constraint;   ///< kConstraint.
+    ClassId cls;       ///< kSubclass.
+    AttributeId attr;  ///< kAttribute.
     DepSet deps;
     ViewStats stats;
   };
@@ -109,7 +110,6 @@ class LiveViewEngine : public sdm::MutationObserver {
   using RouteIndex = std::unordered_map<std::int64_t, std::vector<int>>;
 
   void RebuildIndex();
-  void RecomputeViolatorsBaseline();
   void Drain();
   void Resync();
   void ApplyMembershipDelta(const Delta& d);
@@ -117,10 +117,17 @@ class LiveViewEngine : public sdm::MutationObserver {
   void RetestCandidate(View* v, EntityId e);
   void RecomputeOwner(View* v, EntityId x);
   void FullRecompute(View* v);
-  /// Records a failed corrective write (should not happen; kept visible).
-  void Note(const Status& st);
-  /// Cycle guard: counts per-drain deltas on derived objects.
-  void CountDerivedDelta(int kind_tag, std::int64_t object, EntityId e);
+  /// Records a failed corrective write of `v` (should not happen; kept
+  /// visible).
+  void Note(const View& v, const Status& st);
+  /// Cycle guard: counts per-drain deltas on the derived object of view
+  /// `vi`, for entity `e`.
+  void CountDerivedDelta(int vi, EntityId e);
+  /// "derived class 'x'" / "derived attribute 'x'", for error messages.
+  std::string Describe(const View& v) const;
+  /// (0, class id) of a subclass view, (1, attribute id) of an attribute
+  /// view: the view's identity across index rebuilds.
+  static std::pair<int, std::int64_t> ObjectOf(const View& v);
 
   query::Workspace* ws_;
   sdm::Database* db_;
@@ -136,10 +143,9 @@ class LiveViewEngine : public sdm::MutationObserver {
   /// Derived objects under maintenance (for the cycle guard).
   std::unordered_map<std::int64_t, int> subclass_view_of_;
   std::unordered_map<std::int64_t, int> attr_view_of_;
+  /// Catalog version the index was built at; -1 forces the next settle to
+  /// drain with a full resync (an aborted drain dropped its queued deltas).
   std::int64_t seen_catalog_version_ = -1;
-
-  /// Maintained violator sets, keyed by constraint name.
-  std::map<std::string, sdm::EntitySet> violators_;
 
   std::deque<Delta> queue_;
   bool draining_ = false;
@@ -149,7 +155,7 @@ class LiveViewEngine : public sdm::MutationObserver {
   std::map<std::tuple<int, std::int64_t, std::int64_t>, int> drain_counts_;
 
   EngineStats stats_;
-  Status last_error_ = Status::OK();
+  Status pending_error_ = Status::OK();
 };
 
 }  // namespace isis::live

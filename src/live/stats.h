@@ -1,11 +1,10 @@
 /// \file stats.h
 /// \brief Maintenance counters of the live-view engine.
 ///
-/// Every stored derived subclass, derived attribute and constraint is one
-/// "live view" to the engine; these counters make the incremental-vs-
-/// recompute ablation measurable (bench_live_views) and give the UI a
-/// staleness story ("this class was maintained by N deltas, never fully
-/// rescanned").
+/// Every stored derived subclass and derived attribute is one "live view"
+/// to the engine; these counters make the incremental-vs-recompute
+/// ablation measurable (bench_live_views) and give the UI a staleness
+/// story ("this class was maintained by N deltas, never fully rescanned").
 
 #ifndef ISIS_LIVE_STATS_H_
 #define ISIS_LIVE_STATS_H_
@@ -17,7 +16,7 @@ namespace isis::live {
 
 /// Counters for one live view.
 struct ViewStats {
-  /// Display name (class, attribute or constraint name at index time).
+  /// Display name (class or attribute name at index time).
   std::string name;
   /// Deltas routed to this view (a delta may hit several views).
   std::int64_t deltas_applied = 0;

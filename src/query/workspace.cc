@@ -255,7 +255,13 @@ Status Workspace::DeleteAttribute(AttributeId attr) {
 }
 
 Status Workspace::DeleteEntity(EntityId e) {
-  ISIS_RETURN_NOT_OK(db_.DeleteEntity(e));
+  if (!db_.HasEntity(e) || e == sdm::kNullEntity) {
+    return Status::NotFound("entity does not exist");
+  }
+  // Scrub the constants before the delete: its settle runs the live
+  // engine's drain, which must see the new catalog version and re-derive
+  // every view from the scrubbed predicates. A predicate can gain members
+  // when a constant set shrinks (`]=`, `=`), with no data delta to say so.
   for (auto& [cls, pred] : subclass_preds_) {
     (void)cls;
     for (Atom& a : pred.atoms) {
@@ -273,7 +279,7 @@ Status Workspace::DeleteEntity(EntityId e) {
   }
   constraints_.ScrubEntity(e);
   ++catalog_version_;  // constant sets changed
-  return Status::OK();
+  return db_.DeleteEntity(e);
 }
 
 void Workspace::RestoreSubclassPredicate(ClassId cls, Predicate pred) {

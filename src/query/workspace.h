@@ -120,7 +120,9 @@ class Workspace {
   Status DeleteAttribute(AttributeId attr);
 
   /// Deletes an entity; scrubs it out of every stored constant set first
-  /// (an absent constant would otherwise silently change query answers).
+  /// (an absent constant would otherwise silently change query answers),
+  /// so the delete's settle re-derives the views from the scrubbed
+  /// predicates.
   Status DeleteEntity(EntityId e);
 
   /// True if some stored query's map path mentions `attr`.

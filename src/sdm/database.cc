@@ -86,6 +86,14 @@ Status Database::AddParent(ClassId cls, ClassId extra_parent) {
 
 Status Database::DeleteClass(ClassId cls) {
   MutationScope scope(this);
+  // Entities outlive a subclass but not their baseclass: an entity without
+  // one could not be checkpointed and loaded again.
+  if (schema_.HasClass(cls) && schema_.GetClass(cls).is_base() &&
+      !Members(cls).empty()) {
+    return Status::Consistency(
+        "cannot delete a baseclass that still has entities; delete them "
+        "first");
+  }
   ISIS_RETURN_NOT_OK(schema_.DeleteClass(cls));
   members_.erase(cls.value());
   NotifySchemaChange();

@@ -115,11 +115,12 @@ class Database {
  public:
   struct Options {
     Schema::Options schema;
-    /// Keep stored derived subclasses/attributes/constraints fresh through
-    /// the live-view engine (live::LiveViewEngine) instead of manual
-    /// ReevaluateAll calls. The flag only records the intent — the engine is
-    /// attached by whoever owns the Workspace (the UI controller, a bench) —
-    /// and is persisted by store/ so a saved database reopens live.
+    /// Persisted by store/ (the fourth field of the `options` record) and
+    /// otherwise unread: nothing in src/ may branch on it. Derived views
+    /// are always kept fresh by live::LiveViewEngine, which every session
+    /// controller and server attaches whatever this says. Kept only so that
+    /// checkpoints stay byte-identical and perfbench, which sets and reads
+    /// it, keeps building.
     bool live_views = false;
   };
 

@@ -121,7 +121,7 @@ Result<std::unique_ptr<Server>> Server::Open(
         std::make_unique<store::GroupCommitter>(server->wal_.get(), gc);
     server->max_unwaited_ = gc.max_batch;
   }
-  if (server->live_ == nullptr && server->ws_->db().options().live_views) {
+  if (server->live_ == nullptr) {  // Recovery already attached it.
     server->live_ = std::make_unique<live::LiveViewEngine>(server->ws_.get());
   }
   server->deltas_.Attach(&server->ws_->db());
@@ -173,12 +173,15 @@ Status Server::InitDurable() {
     // replay controller per original session (their prompt state machines
     // are independent), and with the engine the live server maintained
     // derived views with.
-    if (ws_->db().options().live_views) {
-      live_ = std::make_unique<live::LiveViewEngine>(ws_.get());
-    }
+    live_ = std::make_unique<live::LiveViewEngine>(ws_.get());
     std::map<std::int64_t, std::unique_ptr<ui::SessionController>> ctrls;
     for (std::size_t i = 1; i < records.size(); ++i) {
       ISIS_RETURN_NOT_OK(ReplayRecord(records[i], &ctrls));
+      // A maintenance failure was answered when the live server applied
+      // this record (kError or the message line), and the server kept
+      // serving; so recovery logs it and goes on, and a database the live
+      // server kept serving reopens.
+      LogIfError(live_->TakeError(), "server WAL replay");
     }
     ISIS_RETURN_NOT_OK(ws_->db().schema().Validate());
   }
@@ -212,15 +215,13 @@ Status Server::ReplayRecord(
     ISIS_RETURN_NOT_OK(ev.status());
     std::unique_ptr<ui::SessionController>& ctrl = (*ctrls)[sid];
     if (ctrl == nullptr) {
-      ctrl = std::make_unique<ui::SessionController>(ws_.get(), live_.get());
+      // No engine to report to: the engine's errors stay pending for
+      // InitDurable, which logs them.
+      ctrl = std::make_unique<ui::SessionController>(ws_.get(), nullptr);
     }
     return ctrl->HandleEvent(*ev);
   }
-  if (rec.type == "assign") {
-    ISIS_RETURN_NOT_OK(ApplyAssign(SplitFields(rec.payload)));
-    // DoAssign's rule: without an engine, refresh derived views by hand.
-    return live_ == nullptr ? ws_->ReevaluateAll() : Status::OK();
-  }
+  if (rec.type == "assign") return ApplyAssign(SplitFields(rec.payload));
   if (rec.type == "note") return Status::OK();  // Journal only.
   return Status::ParseError("unknown server WAL record type: " + rec.type);
 }
@@ -873,12 +874,10 @@ Frame Server::DoAssign(const Frame& req, bool* log_wal) {
   Status st = ApplyAssign(SplitFields(req.payload));
   if (!st.ok()) return ErrorFrame(req, st);
   if (log_wal != nullptr) *log_wal = true;  // Committed by the caller.
-  if (live_ == nullptr) {
-    // No live engine: stored derived views go stale on mutation, so bring
-    // them up to date before anyone reads (same rule as RefreshDerived).
-    Status rs = ws_->ReevaluateAll();
-    if (!rs.ok()) return ErrorFrame(req, rs);
-  }
+  // The engine maintained the derived views as the assign settled. If that
+  // failed, the assign stays applied and logged, and its answer says so.
+  Status maintenance = live_->TakeError();
+  if (!maintenance.ok()) return ErrorFrame(req, maintenance);
   Frame resp;
   resp.type = MsgType::kOk;
   resp.seq = req.seq;

@@ -64,10 +64,13 @@
 /// kError, and since the committer's failure is sticky, every later
 /// event/assign is refused before it applies; reads keep answering.
 /// Open() replays a leftover log through per-session replay controllers --
-/// the same dispatch path that produced it -- then rotates it onto a fresh
-/// base checkpoint. Shutdown() drains the executor, flushes the committer
-/// (the unwaited tail included), checkpoints to `<dir>/<db>.isis`, rotates
-/// the log and emits one stats JSON line.
+/// the same dispatch path that produced it, with the same live engine --
+/// then rotates it onto a fresh base checkpoint. A live-maintenance error
+/// during replay is logged and cleared, and replay goes on: the live
+/// server answered it and kept serving, so its log must reopen too.
+/// Shutdown() drains the executor, flushes the committer (the unwaited
+/// tail included), checkpoints to `<dir>/<db>.isis`, rotates the log and
+/// emits one stats JSON line.
 
 #ifndef ISIS_SERVER_SESSION_H_
 #define ISIS_SERVER_SESSION_H_
@@ -322,7 +325,9 @@ class Server {
 
   const ServerOptions options_;
   std::unique_ptr<query::Workspace> ws_;
-  std::unique_ptr<live::LiveViewEngine> live_;  ///< Iff db options.live_views.
+  /// Maintains ws_'s derived views for every session. Declared after ws_:
+  /// destroyed first.
+  std::unique_ptr<live::LiveViewEngine> live_;
   /// Stamps its entries against ws_'s database; never registers with it.
   /// Null when options_.result_cache is off.
   std::unique_ptr<query::ResultCache> cache_;

@@ -30,31 +30,24 @@ using sdm::GroupingDef;
 using sdm::Membership;
 using sdm::Schema;
 
-SessionController::SessionController(std::unique_ptr<query::Workspace> ws)
-    : owned_ws_(std::move(ws)), ws_(owned_ws_.get()) {
-  AttachLiveEngine();
+SessionController::SessionController(std::unique_ptr<query::Workspace> ws) {
+  ReplaceWorkspace(std::move(ws));
   Say("database '" + ws_->name() + "' loaded; pick an object to focus on");
 }
 
 SessionController::SessionController(query::Workspace* shared_ws,
                                      live::LiveViewEngine* shared_live)
-    : ws_(shared_ws), shared_live_(shared_live), shared_mode_(true) {
+    : ws_(shared_ws), live_(shared_live), shared_mode_(true) {
   Say("database '" + ws_->name() + "' shared; pick an object to focus on");
 }
 
-void SessionController::AttachLiveEngine() {
-  live_.reset();
-  if (shared_mode_) return;  // The server owns the (one) engine.
-  if (ws_->db().options().live_views) {
-    live_ = std::make_unique<live::LiveViewEngine>(ws_);
-  }
-}
-
-void SessionController::RefreshDerived() {
-  // Already maintained incrementally by an attached or shared engine.
-  if (live_ != nullptr || shared_live_ != nullptr) return;
-  Status st = ws_->ReevaluateAll();
-  if (!st.ok()) Say(message_ + " [" + st.ToString() + "]");
+void SessionController::ReplaceWorkspace(
+    std::unique_ptr<query::Workspace> ws) {
+  owned_live_.reset();  // Observes the old database; must go before it.
+  owned_ws_ = std::move(ws);
+  ws_ = owned_ws_.get();
+  owned_live_ = std::make_unique<live::LiveViewEngine>(ws_);
+  live_ = owned_live_.get();
 }
 
 const Screen& SessionController::Render() {
@@ -79,6 +72,13 @@ void SessionController::Journal(const std::string& action,
 Status SessionController::HandleEvent(const Event& event) {
   wal_event_logged_ = false;
   Status st = Dispatch(event);
+  // The engine kept the derived views fresh while the event mutated the
+  // database. A maintenance failure does not undo the event; it shows on
+  // the message line.
+  if (live_ != nullptr) {
+    Status maintenance = live_->TakeError();
+    if (!maintenance.ok()) Say(message_ + " [" + maintenance.ToString() + "]");
+  }
   // Write-ahead in effect: the event only becomes durable once it has
   // succeeded in memory, and the next event is not accepted before the
   // append (Append fsyncs). Failed events are not logged — replay must
@@ -279,6 +279,10 @@ Result<std::unique_ptr<SessionController>> SessionController::OpenDurable(
       if (!ev.ok()) return bad(ev.status().ToString());
       Status st = session->Dispatch(*ev);
       if (!st.ok()) return bad("replay failed: " + st.ToString());
+      // A maintenance failure was on the message line when the event first
+      // ran, and it did not stop the session then; it does not stop the
+      // recovery either.
+      LogIfError(session->live_->TakeError(), "session WAL replay");
       ++replayed_events;
     } else {
       return bad("unknown record type '" + r.type + "'");
@@ -390,7 +394,6 @@ Status SessionController::PickClass(const std::string& name) {
     Say("value class of '" +
         schema.GetAttribute(state_.selection.attribute).name + "' is now '" +
         name + "'");
-    RefreshDerived();  // Scrubbed values can change derived views.
     screen_valid_ = false;
     return Status::OK();
   }
@@ -410,7 +413,6 @@ Status SessionController::PickClass(const std::string& name) {
             schema.GetClass(state_.selection.cls).name + " <- " + name);
     Say("'" + name + "' is now an additional parent of '" +
         schema.GetClass(state_.selection.cls).name + "'");
-    RefreshDerived();
     screen_valid_ = false;
     return Status::OK();
   }
@@ -1112,7 +1114,6 @@ Status SessionController::CmdDelete() {
   state_.selection = SchemaSelection::None();
   Journal("delete", what);
   Say("deleted " + what);
-  RefreshDerived();  // Scrubbed references can change remaining views.
   return Status::OK();
 }
 
@@ -1169,7 +1170,6 @@ Status SessionController::CmdAssignAttrValue() {
               " entit(ies)");
   Say("assigned '" + def.name + "' for " +
       std::to_string(source.selected.size()) + " entit(ies)");
-  RefreshDerived();
   return Status::OK();
 }
 
@@ -1218,7 +1218,6 @@ Status SessionController::CmdDeleteEntity() {
   }
   Journal("delete entity", std::to_string(doomed.size()) + " entit(ies)");
   Say("deleted " + std::to_string(doomed.size()) + " entit(ies)");
-  RefreshDerived();
   return Status::OK();
 }
 
@@ -1536,10 +1535,7 @@ Status SessionController::CmdUndo() {
   if (!restored.ok()) return Fail(restored.status());
   redo_.push_back(store::Save(*ws_));
   undo_.pop_back();
-  live_.reset();  // Observes the old database; must go before ws_.
-  owned_ws_ = std::move(restored).ValueOrDie();
-  ws_ = owned_ws_.get();
-  AttachLiveEngine();
+  ReplaceWorkspace(std::move(restored).ValueOrDie());
   // Selections and pages may refer to objects that no longer exist.
   const Schema& schema = ws_->db().schema();
   if ((state_.selection.kind == SchemaSelection::Kind::kClass &&
@@ -1581,10 +1577,7 @@ Status SessionController::CmdRedo() {
   if (!restored.ok()) return Fail(restored.status());
   undo_.push_back(store::Save(*ws_));
   redo_.pop_back();
-  live_.reset();  // Observes the old database; must go before ws_.
-  owned_ws_ = std::move(restored).ValueOrDie();
-  ws_ = owned_ws_.get();
-  AttachLiveEngine();
+  ReplaceWorkspace(std::move(restored).ValueOrDie());
   Journal("redo", "");
   Say("redone");
   return Status::OK();
@@ -1692,7 +1685,6 @@ Status SessionController::HandleText(const std::string& text) {
                     " member(s))");
         Say("user-defined subclass '" + text + "' created with " +
             std::to_string(source.selected.size()) + " member(s)");
-        RefreshDerived();
         return Status::OK();
       }
       Result<ClassId> cls = ws_->db().CreateSubclass(
@@ -1766,7 +1758,6 @@ Status SessionController::HandleText(const std::string& text) {
               text + " in " + schema.GetClass(top->cls).name);
       Say("entity '" + text + "' created in '" +
           schema.GetClass(top->cls).name + "'");
-      RefreshDerived();
       return Status::OK();
     }
     case Prompt::kRename: {
@@ -1823,10 +1814,7 @@ Status SessionController::HandleText(const std::string& text) {
         WalAppendNote("load FAILED", text + ": " + loaded.status().ToString());
         return Fail(loaded.status());
       }
-      live_.reset();  // Observes the old database; must go before ws_.
-      owned_ws_ = std::move(loaded).ValueOrDie();
-      ws_ = owned_ws_.get();
-      AttachLiveEngine();
+      ReplaceWorkspace(std::move(loaded).ValueOrDie());
       // A fresh database: selections, pages and undo history reset; the
       // session journal keeps running (the load is itself design history).
       state_ = SessionState{};

@@ -14,6 +14,12 @@
 /// Undo/redo snapshot the entire workspace through the store serializer —
 /// every command that mutates the database is undoable, matching the
 /// editing menu of the paper's forest view.
+///
+/// Stored derived subclasses and attributes are kept fresh by a
+/// live::LiveViewEngine, the same in every session: the controller attaches
+/// one to each workspace it owns, and a shared session uses the server's.
+/// A maintenance failure shows on the message line of the event that
+/// caused it, as ` [<status>]` after the event's own message.
 
 #ifndef ISIS_UI_CONTROLLER_H_
 #define ISIS_UI_CONTROLLER_H_
@@ -49,7 +55,8 @@ struct DurabilityConfig {
 class SessionController {
  public:
   /// Starts a session over `ws` (takes ownership) at the inheritance forest
-  /// with no schema selection, as on database load.
+  /// with no schema selection, as on database load, and attaches a live
+  /// engine to it.
   explicit SessionController(std::unique_ptr<query::Workspace> ws);
 
   /// Starts a *shared* session over a workspace owned by someone else (the
@@ -58,10 +65,11 @@ class SessionController {
   /// `*shared_ws`, visible to every session sharing it. Commands that would
   /// replace, snapshot or persist the whole workspace — undo, redo, load,
   /// save (the owner persists it) — return Unimplemented, and the
-  /// controller never attaches its own live engine
-  /// (pass the server's in `shared_live`, or null). The caller is
-  /// responsible for serializing mutations across sessions; `shared_ws`
-  /// must outlive the controller.
+  /// controller never attaches its own live engine: the owner's engine
+  /// maintains the views, and `shared_live` (the owner's engine, or null)
+  /// is used only to report its errors on this session's message line. The
+  /// caller is responsible for serializing mutations across sessions;
+  /// `shared_ws` must outlive the controller.
   SessionController(query::Workspace* shared_ws,
                     live::LiveViewEngine* shared_live);
 
@@ -74,8 +82,10 @@ class SessionController {
   /// through the normal dispatch path (rebuilding the design journal from
   /// the logged notes), the result is re-validated with the full
   /// ConsistencyChecker, and `ws` is discarded in favour of the recovered
-  /// state. A torn final record is truncated and the log repaired;
-  /// mid-log corruption fails the open with a record-level error.
+  /// state. A live-maintenance error during replay is logged and cleared,
+  /// and replay goes on, as the session did when the event first ran. A
+  /// torn final record is truncated and the log repaired; mid-log
+  /// corruption fails the open with a record-level error.
   static Result<std::unique_ptr<SessionController>> OpenDurable(
       std::unique_ptr<query::Workspace> ws, const DurabilityConfig& config);
 
@@ -121,9 +131,10 @@ class SessionController {
   /// DesignJournal::kRetained entries.
   const DesignJournal& journal() const { return journal_; }
 
-  /// The live-view engine, if the database was opened with
-  /// Options::live_views (nullptr otherwise). For tests and status display.
-  const live::LiveViewEngine* live_engine() const { return live_.get(); }
+  /// The live-view engine that maintains this session's derived views: its
+  /// own, or the shared one it was given (possibly null). For tests and
+  /// status display.
+  const live::LiveViewEngine* live_engine() const { return live_; }
 
  private:
   /// HandleEvent minus the WAL append: interprets one event. Recovery
@@ -210,14 +221,9 @@ class SessionController {
   /// the database untouched instead of failing halfway through the loop.
   Status CheckSelectionCurrent(const sdm::EntitySet& selected,
                                ClassId cls) const;
-  /// Attaches a LiveViewEngine when the workspace opted in
-  /// (Options::live_views); called on construction and whenever ws_ is
-  /// replaced (undo, redo, load).
-  void AttachLiveEngine();
-  /// Brings derived subclasses/attributes up to date after a data edit:
-  /// a no-op with the live engine attached (it already maintained them),
-  /// otherwise a full ReevaluateAll.
-  void RefreshDerived();
+  /// Takes ownership of `ws` in place of the owned workspace, with a new
+  /// live engine attached to it (construction, undo, redo, load).
+  void ReplaceWorkspace(std::unique_ptr<query::Workspace> ws);
   Status Fail(const Status& st);
   void Say(const std::string& msg);
   /// Records a successful design action in the journal.
@@ -227,12 +233,11 @@ class SessionController {
   /// one).
   std::unique_ptr<query::Workspace> owned_ws_;
   query::Workspace* ws_ = nullptr;
-  /// Declared after owned_ws_ so it is destroyed first (it unregisters its
-  /// observer from ws_'s database).
-  std::unique_ptr<live::LiveViewEngine> live_;
-  /// The server's engine in shared mode (not owned); makes RefreshDerived a
-  /// no-op just like an owned engine would.
-  live::LiveViewEngine* shared_live_ = nullptr;
+  /// Owned engine (null in shared mode; live_ points at the one whose
+  /// errors this session reports). Declared after owned_ws_ so it is
+  /// destroyed first (it unregisters its observer from ws_'s database).
+  std::unique_ptr<live::LiveViewEngine> owned_live_;
+  live::LiveViewEngine* live_ = nullptr;
   bool shared_mode_ = false;
   SessionState state_;
   std::string message_;

@@ -8,7 +8,9 @@
 #include <fstream>
 
 #include "datasets/instrumental_music.h"
+#include "query/parser.h"
 #include "sdm/consistency.h"
+#include "store/serializer.h"
 #include "ui/controller.h"
 
 namespace isis::ui {
@@ -541,12 +543,14 @@ TEST_F(ControllerTest, RedoClearedByNewMutation) {
   EXPECT_TRUE(Run("cmd redo\n").IsInvalidArgument());
 }
 
-// Regression: with the live engine off, a data edit must still refresh the
-// stored derived views before the next render (the controller re-runs
-// ReevaluateAll itself). Ray gains a stringed instrument and must show up in
-// the derived play_strings subclass with no explicit recomputation.
-TEST_F(ControllerTest, DataEditsRefreshDerivedViewsWithoutEngine) {
-  EXPECT_EQ(session_.live_engine(), nullptr);  // default options: engine off
+// Regression: on default options (live_views unset), a data edit must still
+// refresh the stored derived views before the next render: the controller
+// attaches the live engine whatever the option says. Ray gains a stringed
+// instrument and must show up in the derived play_strings subclass with no
+// explicit recomputation.
+TEST_F(ControllerTest, DataEditsRefreshDerivedViewsOnDefaultOptions) {
+  EXPECT_FALSE(db().options().live_views);
+  EXPECT_NE(session_.live_engine(), nullptr);
   ASSERT_TRUE(Run("pick class:musicians\n"
                   "cmd view contents\n"
                   "pick member:Ray\n"
@@ -567,8 +571,87 @@ TEST_F(ControllerTest, DataEditsRefreshDerivedViewsWithoutEngine) {
   EXPECT_FALSE(db().IsMember(ray, play_strings));
 }
 
-// When the database opted into live views, the controller attaches the
-// engine and data edits are maintained by deltas instead of ReevaluateAll.
+// A maintenance failure is loud: on default options, the liar subclass
+// cyc_a = { e in musicians | {e} not a subset of cyc_a } can never settle,
+// and every data edit that reaches it says so on its message line, after
+// the edit's own message. The edit itself stands.
+TEST(ControllerLiveViewsTest, CyclicDerivationShowsOnTheEditsMessageLine) {
+  std::unique_ptr<query::Workspace> ws = BuildInstrumentalMusic();
+  sdm::Database& db = ws->db();
+  const ClassId musicians = *db.schema().FindClass("musicians");
+  const ClassId cyc_a =
+      *db.CreateSubclass("cyc_a", musicians, sdm::Membership::kEnumerated);
+  query::Predicate liar;
+  query::Atom atom;
+  atom.lhs = query::Term::Candidate();
+  atom.op = query::SetOp::kSubset;
+  atom.negated = true;
+  atom.rhs = query::Term::ClassExtent(cyc_a);
+  liar.AddAtom(atom, 0);
+  ASSERT_TRUE(ws->DefineSubclassMembership(cyc_a, liar).ok());
+  SessionController session(std::move(ws));
+  ASSERT_FALSE(session.workspace().db().options().live_views);
+
+  ASSERT_TRUE(session.RunScript("pick class:musicians\n"
+                                "cmd view contents\n"
+                                "cmd create entity\n"
+                                "type Newcomer\n")
+                  .ok());
+  const std::string loud =
+      " [Consistency: live maintenance of derived class 'cyc_a' did not "
+      "reach a fixpoint within 16 rounds (cyclic derivation?)]";
+  EXPECT_EQ(session.message(),
+            "entity 'Newcomer' created in 'musicians'" + loud);
+  EXPECT_TRUE(session.workspace()
+                  .db()
+                  .FindEntity(musicians, "Newcomer")
+                  .ok());
+  // A later edit meets the cycle again and says so again; navigation that
+  // changes nothing stays quiet. The new entity is already selected.
+  ASSERT_TRUE(session.RunScript("cmd members down\n").ok());
+  EXPECT_EQ(session.message().find("[Consistency"), std::string::npos)
+      << session.message();
+  ASSERT_TRUE(session.RunScript("cmd delete entity\n").ok());
+  EXPECT_EQ(session.message(), "deleted 1 entit(ies)" + loud);
+}
+
+// Deleting an entity scrubs it out of every stored constant set, and a
+// predicate can gain members when its constant set shrinks: with the harp
+// gone, harpists = { e in musicians | e.plays ]= {harp} } reads
+// `e.plays ]= {}` and holds for every musician, although only Lucy's data
+// changed. Right after the gesture, the views equal a from-scratch
+// re-derivation of the same state.
+TEST(ControllerLiveViewsTest, DeletingAConstantRederivesTheViewsThatNameIt) {
+  std::unique_ptr<query::Workspace> ws = BuildInstrumentalMusic();
+  sdm::Database& db = ws->db();
+  const ClassId musicians = *db.schema().FindClass("musicians");
+  const ClassId harpists =
+      *db.CreateSubclass("harpists", musicians, sdm::Membership::kEnumerated);
+  ASSERT_TRUE(ws->DefineSubclassMembership(
+                    harpists, *query::ParsePredicate(db, musicians,
+                                                     "e.plays ]= {harp}"))
+                  .ok());
+  ASSERT_EQ(db.Members(harpists).size(), 1u);  // Lucy
+  SessionController session(std::move(ws));
+  ASSERT_FALSE(session.workspace().db().options().live_views);
+
+  ASSERT_TRUE(session.RunScript("pick class:instruments\n"
+                                "cmd view contents\n"
+                                "pick member:harp\n"
+                                "cmd delete entity\n")
+                  .ok());
+  EXPECT_EQ(session.message(), "deleted 1 entit(ies)");
+  const sdm::Database& now = session.workspace().db();
+  EXPECT_EQ(now.Members(harpists), now.Members(musicians));
+  const std::string saved = store::Save(session.workspace());
+  Result<std::unique_ptr<query::Workspace>> copy = store::Load(saved);
+  ASSERT_TRUE(copy.ok()) << copy.status().ToString();
+  ASSERT_TRUE((*copy)->ReevaluateAll().ok());
+  EXPECT_EQ(store::Save(**copy), saved);
+}
+
+// The engine is attached whatever the persisted live_views option says;
+// the store only round-trips the option.
 TEST(ControllerLiveViewsTest, EngineAttachesWhenOptedIn) {
   sdm::Database::Options opt;
   opt.live_views = true;

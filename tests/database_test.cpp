@@ -206,6 +206,21 @@ TEST_F(DatabaseTest, DeleteEntityScrubsReferences) {
   ExpectConsistent();
 }
 
+// Entities outlive a deleted subclass but not their baseclass: a baseclass
+// with entities is not deleted (a checkpoint of an entity whose baseclass
+// is gone would not load). Once its entities are gone, it may go.
+TEST_F(DatabaseTest, DeleteBaseclassRefusedWhileItHasEntities) {
+  const ClassId pets = *db_.CreateBaseclass("pets", "name");
+  const EntityId rex = *db_.CreateEntity(pets, "rex");
+  EXPECT_TRUE(db_.DeleteClass(pets).IsConsistency());
+  EXPECT_TRUE(db_.schema().HasClass(pets));
+  EXPECT_TRUE(db_.IsMember(rex, pets));
+  ASSERT_TRUE(db_.DeleteEntity(rex).ok());
+  ASSERT_TRUE(db_.DeleteClass(pets).ok());
+  EXPECT_FALSE(db_.schema().HasClass(pets));
+  ExpectConsistent();
+}
+
 TEST_F(DatabaseTest, RemoveFromClassScrubsSubclassScopedReferences) {
   // An attribute whose value class is a subclass: removing the value entity
   // from the subclass must null out references.

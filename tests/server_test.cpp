@@ -1335,12 +1335,33 @@ class GestureFuzzer {
   int next_name_ = 0;
 };
 
+/// The derivation oracle: reloads `saved` and re-derives every derived view
+/// of the copy from scratch with Workspace::ReevaluateAll. Returns "" when
+/// that changes nothing (the live engine had kept every view fresh) or when
+/// there is no fixpoint to compare against (a cyclic derivation), else the
+/// first line that moved. The copy is saved once before re-deriving, and
+/// that save is the reference: loading a database that has a grouping on
+/// a naming attribute interns that class's names (the load's consistency
+/// check reads them), which is not a derived view moving.
+std::string StaleDerivedViews(const std::string& saved) {
+  Result<std::unique_ptr<query::Workspace>> copy = store::Load(saved);
+  if (!copy.ok()) return "reload failed: " + copy.status().ToString();
+  const std::string loaded = store::Save(**copy);
+  const Status rederived = (*copy)->ReevaluateAll();
+  if (rederived.IsConsistency()) return "";
+  if (!rederived.ok()) return "re-derivation failed: " + rederived.ToString();
+  const std::string fresh = store::Save(**copy);
+  return fresh == loaded ? "" : FirstDiff(loaded, fresh);
+}
+
 /// The classification oracle. Around every gesture, store::Save of the
 /// shared workspace is the ground truth of "changed the database": a
 /// gesture whose Save output moved must have waited for its commit (no
 /// unwaited reply was counted for it), and a rejected gesture -- which is
 /// never logged -- must not have moved it at all, since recovery would
-/// not reproduce the change.
+/// not reproduce the change. The database uses default options, and after
+/// every gesture its derived views must equal a from-scratch re-derivation:
+/// the live engine keeps up with every editing command.
 TEST(ServerTest, OnlyGesturesThatChangedNothingSkipTheCommitWait) {
   const std::string name = "SrvOracle";
   std::set<std::string> committed_kinds;
@@ -1383,6 +1404,9 @@ TEST(ServerTest, OnlyGesturesThatChangedNothingSkipTheCommitWait) {
               << "'" << line << "' (" << script.kind << ", seed " << seed
               << ") changed the database but did not wait for its commit";
         }
+        EXPECT_EQ(StaleDerivedViews(after), "")
+            << "derived views stale after '" << line << "' (" << script.kind
+            << ", seed " << seed << ")";
       }
     }
     srv->Shutdown();
@@ -1782,6 +1806,119 @@ TEST(ServerTest, LiveViewsRecoveryAnswersLikeTheLiveServer) {
   EXPECT_EQ(answers(client), live_answers);
   srv->Shutdown();
   WipeDurable(name);
+}
+
+/// A maintenance failure is loud, and the server still reopens. The liar
+/// subclass cyc_a = { e in musicians | {e} not a subset of cyc_a } can never
+/// settle. A `create entity` gesture that reaches it carries the
+/// Consistency status on its message line, and a later assign answers
+/// kError with it; both stay applied and logged. After a crash, recovery
+/// logs the error and goes on, and the reopened server answers as the live
+/// one did. The stored live_views option must not change any of this.
+void ExpectCyclicDerivationIsLoudAndTheServerReopens(bool live_views) {
+  SCOPED_TRACE(live_views ? "live_views set" : "live_views unset");
+  const std::string name = live_views ? "SrvLiarSet" : "SrvLiarUnset";
+  WipeDurable(name);
+  auto open = [&]() -> std::unique_ptr<Server> {
+    sdm::Database::Options db_options;
+    db_options.live_views = live_views;
+    std::unique_ptr<query::Workspace> ws =
+        datasets::BuildScaledMusic(2, 7, db_options);
+    ws->set_name(name);
+    sdm::Database& db = ws->db();
+    const ClassId musicians = *db.schema().FindClass("musicians");
+    Result<ClassId> cyc_a =
+        db.CreateSubclass("cyc_a", musicians, sdm::Membership::kEnumerated);
+    if (!cyc_a.ok()) {
+      ADD_FAILURE() << cyc_a.status().ToString();
+      return nullptr;
+    }
+    query::Predicate liar;
+    query::Atom atom;
+    atom.lhs = query::Term::Candidate();
+    atom.op = query::SetOp::kSubset;
+    atom.negated = true;
+    atom.rhs = query::Term::ClassExtent(*cyc_a);
+    liar.AddAtom(atom, 0);
+    if (!ws->DefineSubclassMembership(*cyc_a, liar).ok()) {
+      ADD_FAILURE() << "cannot define the liar subclass";
+      return nullptr;
+    }
+    ServerOptions options;
+    options.threads = 2;
+    options.durable_dir = DurableDir();
+    Result<std::unique_ptr<Server>> opened =
+        Server::Open(std::move(ws), options);
+    EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+    return opened.ok() ? std::move(opened).ValueOrDie() : nullptr;
+  };
+  const std::vector<std::string> probes = {
+      "e.union = {true}", "e.union = {false}", "e.plays ]= {inst0}"};
+  auto answers = [&](RetryingClient& client) {
+    std::vector<std::vector<std::string>> out;
+    for (const std::string& pred : probes) {
+      Result<std::vector<std::string>> got = client.Query("musicians", pred);
+      EXPECT_TRUE(got.ok()) << pred;
+      out.push_back(got.ok() ? *got : std::vector<std::string>{});
+    }
+    return out;
+  };
+
+  std::vector<std::vector<std::string>> live_answers;
+  {
+    std::unique_ptr<Server> srv = open();
+    ASSERT_NE(srv, nullptr);
+    RetryingClient client(
+        std::make_unique<LoopbackTransport>(srv.get(), "t"), RetryOptions());
+    ASSERT_TRUE(client.Connect().ok());
+    std::string message;
+    for (const char* line : {"pick class:musicians", "cmd view contents",
+                             "cmd create entity", "type newcomer"}) {
+      message = Gesture(client, line);
+      ASSERT_FALSE(Rejected(message)) << line << ": " << message;
+    }
+    EXPECT_EQ(message.rfind("entity 'newcomer' created in 'musicians'", 0),
+              0u)
+        << message;
+    EXPECT_NE(message.find(" [Consistency: "), std::string::npos) << message;
+    EXPECT_NE(message.find("derived class 'cyc_a'"), std::string::npos)
+        << message;
+
+    // Flip one union member's flag: applied, logged, and answered kError.
+    Result<std::vector<std::string>> unionists =
+        client.Query("musicians", probes[0]);
+    ASSERT_TRUE(unionists.ok());
+    ASSERT_GE(unionists->size(), 2u);
+    const std::string flipped = (*unionists)[1];
+    Result<Frame> assigned = client.Call(
+        MsgType::kAssign, JoinFields({"musicians", flipped, "union", "false"}));
+    ASSERT_TRUE(assigned.ok()) << assigned.status().ToString();
+    EXPECT_EQ(assigned->type, MsgType::kError);
+    EXPECT_EQ(assigned->payload.rfind("Consistency|", 0), 0u)
+        << assigned->payload;
+    live_answers = answers(client);
+    const std::vector<std::string>& non_union = live_answers[1];
+    EXPECT_NE(std::find(non_union.begin(), non_union.end(), flipped),
+              non_union.end());
+    // No Shutdown(): the destructor is the crash.
+  }
+  std::unique_ptr<Server> srv = open();
+  ASSERT_NE(srv, nullptr) << "the log of a server that kept serving must "
+                             "reopen";
+  const sdm::Database& db = srv->workspace().db();
+  EXPECT_TRUE(
+      db.FindEntity(*db.schema().FindClass("musicians"), "newcomer").ok());
+  RetryingClient client(std::make_unique<LoopbackTransport>(srv.get(), "t"),
+                        RetryOptions());
+  ASSERT_TRUE(client.Connect().ok());
+  EXPECT_EQ(answers(client), live_answers);
+  srv->Shutdown();
+  WipeDurable(name);
+}
+
+TEST(ServerTest, CyclicDerivationIsLoudAndTheServerReopens) {
+  ExpectCyclicDerivationIsLoudAndTheServerReopens(/*live_views=*/false);
+  ExpectCyclicDerivationIsLoudAndTheServerReopens(/*live_views=*/true);
 }
 
 /// Liveness: a navigation-only stream longer than the committer's queue
