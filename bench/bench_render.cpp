@@ -1,25 +1,50 @@
 /// \file bench_render.cpp
 /// \brief Experiment A3b: view rendering cost for each of the four views as
 /// the schema/data grows — the per-interaction latency of the interface —
-/// and the byte passes that turn a rendered screen into a server reply
-/// (the BM_Reply rows).
+/// the byte passes that turn a rendered screen into a server reply (the
+/// BM_Reply rows), and a session's render along the server benchmark's
+/// gesture walk (BM_RenderGestureWalk), timed and its heap allocations
+/// counted per view level.
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <new>
 #include <string>
+#include <vector>
 
+#include "common/rng.h"
 #include "common/strings.h"
 #include "datasets/instrumental_music.h"
 #include "datasets/scaled_music.h"
 #include "datasets/synthetic.h"
 #include "input/event.h"
+#include "query/parser.h"
 #include "server/proto.h"
 #include "store/crc32.h"
 #include "ui/controller.h"
 #include "ui/views.h"
+
+namespace {
+/// Every heap allocation of this process (see operator new below).
+std::atomic<long long> g_allocs{0};
+}  // namespace
+
+// Not inlined: g++ would otherwise see malloc() and free() at the call
+// sites of `new` and `delete` and warn that they are mismatched.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -44,8 +69,9 @@ void BM_RenderForest(benchmark::State& state) {
   st.selection = isis::ui::SchemaSelection::Class(
       *ws->db().schema().FindClass("B0"));
   RenderContext ctx{*ws, st, ""};
+  isis::ui::Screen screen;
   for (auto _ : state) {
-    isis::ui::Screen screen = RenderForestView(ctx);
+    RenderForestView(ctx, &screen);
     benchmark::DoNotOptimize(screen.hits.size());
   }
   state.counters["classes"] =
@@ -67,8 +93,9 @@ void BM_RenderNetwork(benchmark::State& state) {
   st.selection = isis::ui::SchemaSelection::Class(
       *ws->db().schema().FindClass("B0"));
   RenderContext ctx{*ws, st, ""};
+  isis::ui::Screen screen;
   for (auto _ : state) {
-    isis::ui::Screen screen = RenderNetworkView(ctx);
+    RenderNetworkView(ctx, &screen);
     benchmark::DoNotOptimize(screen.hits.size());
   }
 }
@@ -94,8 +121,9 @@ void BM_RenderDataPages(benchmark::State& state) {
     st.pages.push_back(page);
   }
   RenderContext ctx{*ws, st, ""};
+  isis::ui::Screen screen;
   for (auto _ : state) {
-    isis::ui::Screen screen = RenderDataView(ctx);
+    RenderDataView(ctx, &screen);
     benchmark::DoNotOptimize(screen.hits.size());
   }
 }
@@ -115,8 +143,9 @@ void BM_RenderWorksheet(benchmark::State& state) {
   st.worksheet.pred = *ws->SubclassPredicate(*s.FindClass("play_strings"));
   st.worksheet.current_atom = 0;
   RenderContext ctx{*ws, st, ""};
+  isis::ui::Screen screen;
   for (auto _ : state) {
-    isis::ui::Screen screen = RenderWorksheetView(ctx);
+    RenderWorksheetView(ctx, &screen);
     benchmark::DoNotOptimize(screen.hits.size());
   }
 }
@@ -126,8 +155,8 @@ BENCHMARK(BM_RenderWorksheet)->Unit(benchmark::kMicrosecond);
 void BM_CanvasToString(benchmark::State& state) {
   auto ws = isis::datasets::BuildInstrumentalMusic();
   SessionState st;
-  RenderContext ctx{*ws, st, ""};
-  isis::ui::Screen screen = RenderForestView(ctx);
+  isis::ui::Screen screen;
+  RenderForestView(RenderContext{*ws, st, ""}, &screen);
   for (auto _ : state) {
     benchmark::DoNotOptimize(screen.canvas.ToString().size());
   }
@@ -226,6 +255,104 @@ void BM_ReplyFrameRoundTrip(benchmark::State& state) {
                           static_cast<std::int64_t>(frame.payload.size()));
 }
 BENCHMARK(BM_ReplyFrameRoundTrip)->Unit(benchmark::kMicrosecond);
+
+/// gesture_durable's stored derived subclasses in the server benchmark,
+/// "name|parent|predicate": the live engine keeps them fresh on every
+/// (re)assign.
+const char* const kGestureViews[] = {
+    "play_inst0|musicians|e.plays ]= {inst0}",
+    "unionists|musicians|e.union = {true}",
+    "big_groups|music_groups|e.size > {3}",
+    "inst0_groups|music_groups|e.members.plays ]= {inst0}",
+};
+
+/// One walk of the server benchmark's gesture_durable workload at scale 4
+/// (64 musicians, 8 instruments), in sending order: pick musicians, view
+/// contents, pan to musician i, pick it, follow, pick plays, toggle
+/// instrument j, (re)assign, pop twice.
+std::vector<isis::input::Event> GestureWalk(isis::Rng* rng) {
+  using isis::input::CommandEvent;
+  using isis::input::NamedPickEvent;
+  const int i = static_cast<int>(rng->Below(64));
+  const int j = static_cast<int>(rng->Below(8));
+  std::vector<isis::input::Event> walk;
+  walk.push_back(NamedPickEvent{"class:musicians"});
+  walk.push_back(CommandEvent{"view contents"});
+  for (int pan = 0; pan < i / 10; ++pan) {
+    walk.push_back(CommandEvent{"members down"});
+  }
+  walk.push_back(NamedPickEvent{"member:musician" + std::to_string(i)});
+  walk.push_back(CommandEvent{"follow"});
+  walk.push_back(NamedPickEvent{"attr:plays"});
+  walk.push_back(NamedPickEvent{"member:inst" + std::to_string(j)});
+  walk.push_back(CommandEvent{"(re)assign att. value"});
+  walk.push_back(CommandEvent{"pop"});
+  walk.push_back(CommandEvent{"pop"});
+  return walk;
+}
+
+/// One gesture per iteration, through a SessionController: an event of the
+/// walk, then the session's Render(). Only the Render() is timed and its
+/// heap allocations counted, per view level of the screen it draws:
+/// `<level>_ns` and `<level>_allocs` per render, `<level>_renders`.
+void BM_RenderGestureWalk(benchmark::State& state) {
+  auto ws = BuildScaledMusic(4);
+  ws->set_name("bench_gesture_durable");
+  isis::sdm::Database& db = ws->db();
+  for (const char* spec : kGestureViews) {
+    std::vector<std::string> f = isis::Split(spec, '|');
+    isis::Result<ClassId> parent = db.schema().FindClass(f[1]);
+    if (!parent.ok()) std::abort();
+    isis::Result<ClassId> cls =
+        db.CreateSubclass(f[0], *parent, isis::sdm::Membership::kEnumerated);
+    isis::Result<isis::query::Predicate> pred =
+        isis::query::ParsePredicate(db, *parent, f[2]);
+    if (!cls.ok() || !pred.ok() ||
+        !ws->DefineSubclassMembership(*cls, *pred).ok()) {
+      std::abort();
+    }
+  }
+  isis::ui::SessionController session(std::move(ws));
+  isis::Rng rng(25);
+  std::vector<isis::input::Event> walk;
+  std::size_t next = 0;
+  struct PerLevel {
+    double ns = 0;
+    long long allocs = 0;
+    long long renders = 0;
+  };
+  PerLevel levels[4];
+  for (auto _ : state) {
+    if (next == walk.size()) {
+      walk = GestureWalk(&rng);
+      next = 0;
+    }
+    if (!session.HandleEvent(walk[next++]).ok()) {
+      state.SkipWithError(session.message().c_str());
+      break;
+    }
+    PerLevel& level = levels[static_cast<int>(session.state().level)];
+    const long long allocs = g_allocs.load(std::memory_order_relaxed);
+    const auto t0 = std::chrono::steady_clock::now();
+    const isis::ui::Screen& screen = session.Render();
+    const auto t1 = std::chrono::steady_clock::now();
+    level.allocs += g_allocs.load(std::memory_order_relaxed) - allocs;
+    level.ns += std::chrono::duration<double, std::nano>(t1 - t0).count();
+    ++level.renders;
+    benchmark::DoNotOptimize(screen.hits.data());
+  }
+  const char* const kNames[4] = {"forest", "network", "worksheet", "data"};
+  for (int l = 0; l < 4; ++l) {
+    const PerLevel& level = levels[l];
+    if (level.renders == 0) continue;
+    const std::string name = kNames[l];
+    state.counters[name + "_ns"] = level.ns / level.renders;
+    state.counters[name + "_allocs"] =
+        static_cast<double>(level.allocs) / level.renders;
+    state.counters[name + "_renders"] = static_cast<double>(level.renders);
+  }
+}
+BENCHMARK(BM_RenderGestureWalk)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

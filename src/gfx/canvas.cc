@@ -1,33 +1,48 @@
 #include "gfx/canvas.h"
 
 #include <algorithm>
+#include <cstring>
 
 namespace isis::gfx {
 
 Canvas::Canvas(int width, int height)
     : width_(std::max(1, width)),
       height_(std::max(1, height)),
-      cells_(static_cast<size_t>(width_) * height_) {}
+      chars_(static_cast<size_t>(width_) * height_, ' '),
+      styles_(static_cast<size_t>(width_) * height_, kPlain) {}
+
+Rect ClipRun(int x, int y, std::int64_t n, const Rect& bounds) {
+  if (n <= 0 || y < bounds.y || y >= bounds.bottom()) return Rect{};
+  const std::int64_t first = std::max<std::int64_t>(x, bounds.x);
+  const std::int64_t last =
+      std::min<std::int64_t>(std::int64_t{x} + n, bounds.right());
+  if (first >= last) return Rect{};
+  return Rect{static_cast<int>(first), y, static_cast<int>(last - first), 1};
+}
 
 void Canvas::Clear(char ch) {
-  for (Cell& c : cells_) c = Cell{ch, kPlain};
+  std::memset(chars_.data(), ch, chars_.size());
+  std::memset(styles_.data(), kPlain, styles_.size());
 }
 
 void Canvas::Put(int x, int y, char ch, std::uint8_t style) {
-  if (x < 0 || x >= width_ || y < 0 || y >= height_) return;
-  cells_[static_cast<size_t>(y) * width_ + x] = Cell{ch, style};
+  if (!bounds().Contains(x, y)) return;
+  chars_[Offset(x, y)] = ch;
+  styles_[Offset(x, y)] = style;
 }
 
-const Cell& Canvas::At(int x, int y) const {
-  static const Cell kOut{};
-  if (x < 0 || x >= width_ || y < 0 || y >= height_) return kOut;
-  return cells_[static_cast<size_t>(y) * width_ + x];
+Cell Canvas::At(int x, int y) const {
+  if (!bounds().Contains(x, y)) return Cell{};
+  return Cell{chars_[Offset(x, y)], styles_[Offset(x, y)]};
 }
 
 void Canvas::Text(int x, int y, std::string_view s, std::uint8_t style) {
-  for (size_t i = 0; i < s.size(); ++i) {
-    Put(x + static_cast<int>(i), y, s[i], style);
-  }
+  const Rect run =
+      ClipRun(x, y, static_cast<std::int64_t>(s.size()), bounds());
+  if (run.w == 0) return;
+  std::memcpy(chars_.data() + Offset(run.x, y), s.data() + (run.x - x),
+              run.w);
+  std::memset(styles_.data() + Offset(run.x, y), style, run.w);
 }
 
 void Canvas::Box(const Rect& r, std::uint8_t style) {
@@ -51,7 +66,10 @@ void Canvas::HeavyBox(const Rect& r, std::uint8_t style) {
 }
 
 void Canvas::HLine(int x, int y, int w, char ch, std::uint8_t style) {
-  for (int i = 0; i < w; ++i) Put(x + i, y, ch, style);
+  const Rect run = ClipRun(x, y, w, bounds());
+  if (run.w == 0) return;
+  std::memset(chars_.data() + Offset(run.x, y), ch, run.w);
+  std::memset(styles_.data() + Offset(run.x, y), style, run.w);
 }
 
 void Canvas::VLine(int x, int y, int h, char ch, std::uint8_t style) {
@@ -59,16 +77,15 @@ void Canvas::VLine(int x, int y, int h, char ch, std::uint8_t style) {
 }
 
 void Canvas::Fill(const Rect& r, char ch, std::uint8_t style) {
-  for (int yy = r.y; yy < r.bottom(); ++yy) {
-    for (int xx = r.x; xx < r.right(); ++xx) Put(xx, yy, ch, style);
+  for (int yy = std::max(0, r.y); yy < std::min(height_, r.bottom()); ++yy) {
+    HLine(r.x, yy, r.w, ch, style);
   }
 }
 
 void Canvas::AddStyle(const Rect& r, std::uint8_t style) {
   for (int yy = std::max(0, r.y); yy < std::min(height_, r.bottom()); ++yy) {
-    for (int xx = std::max(0, r.x); xx < std::min(width_, r.right()); ++xx) {
-      cells_[static_cast<size_t>(yy) * width_ + xx].style |= style;
-    }
+    const Rect run = ClipRun(r.x, yy, r.w, bounds());
+    for (int x = run.x; x < run.right(); ++x) styles_[Offset(x, yy)] |= style;
   }
 }
 
@@ -78,11 +95,12 @@ std::string Canvas::ToString() const {
   std::string out(static_cast<size_t>(width_ + 1) * height_, '\0');
   char* dst = out.data();
   for (int y = 0; y < height_; ++y) {
-    const Cell* row = cells_.data() + static_cast<size_t>(y) * width_;
+    const char* row = chars_.data() + Offset(0, y);
     // Trim trailing spaces for stable, diff-friendly screenshots.
-    int end = width_;
-    while (end > 0 && row[end - 1].ch == ' ') --end;
-    for (int x = 0; x < end; ++x) *dst++ = row[x].ch;
+    size_t end = static_cast<size_t>(width_);
+    while (end > 0 && row[end - 1] == ' ') --end;
+    std::memcpy(dst, row, end);
+    dst += end;
     *dst++ = '\n';
   }
   out.resize(static_cast<size_t>(dst - out.data()));
@@ -90,27 +108,19 @@ std::string Canvas::ToString() const {
 }
 
 std::string Canvas::StyleString() const {
-  std::string out;
-  out.reserve(static_cast<size_t>(width_ + 1) * height_);
+  // Indexed by the three style bits: bold+reverse wins, then bold, then
+  // reverse, then dim.
+  static constexpr char kCode[8] = {' ', 'b', 'r', 'B', 'd', 'b', 'r', 'B'};
+  std::string out(static_cast<size_t>(width_ + 1) * height_, '\0');
+  char* dst = out.data();
   for (int y = 0; y < height_; ++y) {
-    size_t line_start = out.size();
-    for (int x = 0; x < width_; ++x) {
-      std::uint8_t s = cells_[static_cast<size_t>(y) * width_ + x].style;
-      char c = ' ';
-      if ((s & kBold) && (s & kReverse)) {
-        c = 'B';
-      } else if (s & kBold) {
-        c = 'b';
-      } else if (s & kReverse) {
-        c = 'r';
-      } else if (s & kDim) {
-        c = 'd';
-      }
-      out += c;
-    }
-    while (out.size() > line_start && out.back() == ' ') out.pop_back();
-    out += '\n';
+    const std::uint8_t* row = styles_.data() + Offset(0, y);
+    char* line = dst;
+    for (int x = 0; x < width_; ++x) *dst++ = kCode[row[x] & 7];
+    while (dst > line && dst[-1] == ' ') --dst;
+    *dst++ = '\n';
   }
+  out.resize(static_cast<size_t>(dst - out.data()));
   return out;
 }
 

@@ -12,6 +12,7 @@
 #ifndef ISIS_GFX_CANVAS_H_
 #define ISIS_GFX_CANVAS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -50,7 +51,13 @@ struct Rect {
   int bottom() const { return y + h; }
 };
 
-/// \brief A fixed-size grid of styled character cells.
+/// The cells of the one-row run of `n` cells from (x, y) that lie inside
+/// `bounds`, as a one-row rect; zero wide when none do.
+Rect ClipRun(int x, int y, std::int64_t n, const Rect& bounds);
+
+/// \brief A fixed-size grid of styled character cells, kept as two
+/// row-major planes (characters and style bytes). Every drawing call clips
+/// its run to the grid once and writes it as one span per row.
 class Canvas {
  public:
   Canvas(int width, int height);
@@ -58,12 +65,14 @@ class Canvas {
   int width() const { return width_; }
   int height() const { return height_; }
 
+  /// Resets every cell to `ch` in the plain style, in place.
   void Clear(char ch = ' ');
 
   /// Writes one cell; out-of-bounds writes are clipped silently.
   void Put(int x, int y, char ch, std::uint8_t style = kPlain);
 
-  const Cell& At(int x, int y) const;
+  /// The cell at (x, y); a blank plain cell outside the grid.
+  Cell At(int x, int y) const;
 
   /// Writes a string starting at (x, y), clipped at the right edge.
   void Text(int x, int y, std::string_view s, std::uint8_t style = kPlain);
@@ -91,9 +100,16 @@ class Canvas {
   std::string StyleString() const;
 
  private:
+  Rect bounds() const { return Rect{0, 0, width_, height_}; }
+  /// Index of the in-bounds cell (x, y) in both planes.
+  std::size_t Offset(int x, int y) const {
+    return static_cast<std::size_t>(y) * width_ + x;
+  }
+
   int width_;
   int height_;
-  std::vector<Cell> cells_;
+  std::string chars_;
+  std::vector<std::uint8_t> styles_;
 };
 
 }  // namespace isis::gfx

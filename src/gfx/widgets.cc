@@ -4,39 +4,36 @@
 
 namespace isis::gfx {
 
-std::vector<Rect> Menu::Render(Canvas* canvas, const Rect& r) const {
-  std::vector<Rect> hits;
+void Menu::Render(Canvas* canvas, const Rect& r) const {
   canvas->Box(r);
-  canvas->Text(r.x + 2, r.y, " " + title_ + " ", kReverse);
-  int row = r.y + 1;
-  for (const Item& item : items_) {
-    Rect hit{r.x + 1, row, r.w - 2, 1};
-    hits.push_back(hit);
-    if (row < r.bottom() - 1) {
-      std::string label = item.key.empty() ? "   " : item.key;
-      label.resize(3, ' ');
-      std::uint8_t style = item.enabled ? kPlain : kDim;
-      canvas->Text(r.x + 1, row, label, kDim);
-      std::string command = item.command.substr(
-          0, static_cast<size_t>(std::max(0, r.w - 7)));
-      canvas->Text(r.x + 5, row, command, style);
-    }
-    ++row;
+  canvas->Text(r.x + 2, r.y, " ", kReverse);
+  canvas->Text(r.x + 3, r.y, title_, kReverse);
+  canvas->Text(r.x + 3 + static_cast<int>(title_.size()), r.y, " ", kReverse);
+  for (size_t i = 0; i < items_.size(); ++i) {
+    const Rect row = ItemRect(r, i);
+    if (row.y >= r.bottom() - 1) break;
+    const Item& item = items_[i];
+    // The key label, padded to three cells.
+    canvas->HLine(row.x, row.y, 3, ' ', kDim);
+    canvas->Text(row.x, row.y, item.key.substr(0, 3), kDim);
+    canvas->Text(r.x + 5, row.y,
+                 item.command.substr(0, static_cast<size_t>(
+                                            std::max(0, r.w - 7))),
+                 item.enabled ? kPlain : kDim);
   }
-  return hits;
 }
 
-void TextWindow::Set(const std::string& text) {
+void TextWindow::Set(std::string_view text) {
   lines_.clear();
   Append(text);
 }
 
-void TextWindow::Append(const std::string& line) {
+void TextWindow::Append(std::string_view line) {
   // Split embedded newlines so each stored line is renderable.
   size_t start = 0;
   while (true) {
     size_t nl = line.find('\n', start);
-    if (nl == std::string::npos) {
+    if (nl == std::string_view::npos) {
       lines_.push_back(line.substr(start));
       break;
     }
@@ -54,9 +51,9 @@ void TextWindow::Render(Canvas* canvas, const Rect& r) const {
                      : 0;
   int y = r.y + 1;
   for (size_t i = first; i < lines_.size(); ++i, ++y) {
-    canvas->Text(r.x + 2, y,
-                 std::string_view(lines_[i]).substr(
-                     0, std::max(0, r.w - 4)));
+    canvas->Text(
+        r.x + 2, y,
+        lines_[i].substr(0, static_cast<size_t>(std::max(0, r.w - 4))));
   }
 }
 
@@ -90,8 +87,14 @@ void Window::Put(int lx, int ly, char ch, std::uint8_t style) {
 }
 
 void Window::Text(int lx, int ly, std::string_view s, std::uint8_t style) {
-  for (size_t i = 0; i < s.size(); ++i) {
-    Put(lx + static_cast<int>(i), ly, s[i], style);
+  const int sx = rect_.x + (lx - pan_x_);
+  const Rect run = ClipRun(sx, rect_.y + (ly - pan_y_),
+                           static_cast<std::int64_t>(s.size()), rect_);
+  if (run.w > 0) {
+    canvas_->Text(run.x, run.y,
+                  s.substr(static_cast<size_t>(run.x - sx),
+                           static_cast<size_t>(run.w)),
+                  style);
   }
 }
 
@@ -108,7 +111,9 @@ void Window::Box(const Rect& logical, std::uint8_t style) {
 }
 
 void Window::HLine(int lx, int ly, int w, char ch, std::uint8_t style) {
-  for (int i = 0; i < w; ++i) Put(lx + i, ly, ch, style);
+  const Rect run =
+      ClipRun(rect_.x + (lx - pan_x_), rect_.y + (ly - pan_y_), w, rect_);
+  if (run.w > 0) canvas_->HLine(run.x, run.y, run.w, ch, style);
 }
 
 void Window::VLine(int lx, int ly, int h, char ch, std::uint8_t style) {

@@ -10,7 +10,9 @@
 #ifndef ISIS_GFX_WIDGETS_H_
 #define ISIS_GFX_WIDGETS_H_
 
-#include <string>
+#include <cstddef>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "gfx/canvas.h"
@@ -21,46 +23,50 @@ namespace isis::gfx {
 ///
 /// Commands are "standardized ... for each view" and "commands in different
 /// views with the same names have the same semantics"; rendering keeps one
-/// command per row so pick hit-testing is by row.
+/// command per row so pick hit-testing is by row. The menu borrows its
+/// title and items (a view's static table): they must outlive it.
 class Menu {
  public:
   struct Item {
-    std::string command;   ///< Canonical command name, e.g. "view contents".
-    std::string key;       ///< Function key label, e.g. "F3"; may be empty.
+    std::string_view command;  ///< Canonical name, e.g. "view contents".
+    std::string_view key;      ///< Function key label, e.g. "F3"; may be empty.
     bool enabled = true;
   };
 
-  explicit Menu(std::string title) : title_(std::move(title)) {}
+  Menu(std::string_view title, std::span<const Item> items)
+      : title_(title), items_(items) {}
 
-  void Add(std::string command, std::string key = "", bool enabled = true) {
-    items_.push_back(Item{std::move(command), std::move(key), enabled});
+  std::span<const Item> items() const { return items_; }
+  std::string_view title() const { return title_; }
+
+  /// Renders into `r`.
+  void Render(Canvas* canvas, const Rect& r) const;
+  /// The pick row of item `i` once rendered into `r`.
+  static Rect ItemRect(const Rect& r, size_t i) {
+    return Rect{r.x + 1, r.y + 1 + static_cast<int>(i), r.w - 2, 1};
   }
-  const std::vector<Item>& items() const { return items_; }
-  const std::string& title() const { return title_; }
-
-  /// Renders into `r`; returns one hit rectangle per item (same order).
-  std::vector<Rect> Render(Canvas* canvas, const Rect& r) const;
 
  private:
-  std::string title_;
-  std::vector<Item> items_;
+  std::string_view title_;
+  std::span<const Item> items_;
 };
 
-/// \brief A text window: prompts, warnings and textual output (§3).
+/// \brief A text window: prompts, warnings and textual output (§3). It
+/// borrows the text it shows: each line must outlive the window.
 class TextWindow {
  public:
   /// Replaces the contents with one message.
-  void Set(const std::string& text);
+  void Set(std::string_view text);
   /// Appends a line, scrolling older lines away on render if needed.
-  void Append(const std::string& line);
+  void Append(std::string_view line);
   void Clear() { lines_.clear(); }
-  const std::vector<std::string>& lines() const { return lines_; }
+  const std::vector<std::string_view>& lines() const { return lines_; }
 
   /// Renders the last lines that fit into `r` (boxed).
   void Render(Canvas* canvas, const Rect& r) const;
 
  private:
-  std::vector<std::string> lines_;
+  std::vector<std::string_view> lines_;
 };
 
 /// \brief A window: a clipped, pannable viewport onto a logical plane.
@@ -89,7 +95,8 @@ class Window {
   /// Pans so that the logical rect `target` is visible (minimal movement).
   void EnsureVisible(const Rect& target);
 
-  // Logical-coordinate drawing (clipped to the window).
+  // Logical-coordinate drawing (clipped to the window; Text and HLine clip
+  // their run once).
   void Put(int lx, int ly, char ch, std::uint8_t style = kPlain);
   void Text(int lx, int ly, std::string_view s, std::uint8_t style = kPlain);
   void Box(const Rect& logical, std::uint8_t style = kPlain);

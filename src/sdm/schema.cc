@@ -395,19 +395,23 @@ const AttributeDef& Schema::GetAttribute(AttributeId id) const {
 
 std::vector<AttributeId> Schema::AllAttributesOf(ClassId cls) const {
   // Root-most ancestor first, then down to cls's own attributes; in
-  // multi-parent mode parents contribute in declaration order, deduplicated.
-  std::vector<ClassId> chain = AncestorsOf(cls);
-  std::reverse(chain.begin(), chain.end());
-  chain.push_back(cls);
+  // multi-parent mode parents contribute in declaration order, deduplicated
+  // (by a scan: a class sees few attributes, and a view reads them on every
+  // render).
+  const std::vector<ClassId> ancestors = AncestorsOf(cls);
   std::vector<AttributeId> out;
-  std::unordered_set<std::int64_t> seen;
-  for (ClassId c : chain) {
+  auto add_own = [&](ClassId c) {
     for (AttributeId a : GetClass(c).own_attributes) {
-      if (attribute_live_[a.value()] && seen.insert(a.value()).second) {
+      if (attribute_live_[a.value()] &&
+          std::find(out.begin(), out.end(), a) == out.end()) {
         out.push_back(a);
       }
     }
+  };
+  for (auto it = ancestors.rbegin(); it != ancestors.rend(); ++it) {
+    add_own(*it);
   }
+  add_own(cls);
   return out;
 }
 

@@ -51,8 +51,7 @@ void SessionController::ReplaceWorkspace(
 }
 
 const Screen& SessionController::Render() {
-  RenderContext ctx{*ws_, state_, message_};
-  screen_ = RenderCurrent(ctx);
+  RenderCurrent(RenderContext{*ws_, state_, message_}, &screen_);
   screen_valid_ = true;
   return screen_;
 }

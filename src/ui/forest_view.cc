@@ -10,6 +10,8 @@
 /// user drag boxes; we document this simplification in DESIGN.md.)
 
 #include <algorithm>
+#include <array>
+#include <iterator>
 #include <map>
 
 #include "ui/render_util.h"
@@ -122,68 +124,85 @@ struct ForestLayout {
   }
 };
 
-std::vector<Menu::Item> ForestMenu(const RenderContext& ctx) {
-  const SchemaSelection& sel = ctx.st.selection;
-  std::vector<Menu::Item> items;
-  auto add = [&items](const char* cmd, const char* key = "") {
-    items.push_back(Menu::Item{cmd, key, true});
-  };
+// Which schema selection a forest menu row is shown for.
+enum : unsigned {
+  kOnNone = 1u << 0,
+  kOnClass = 1u << 1,
+  kOnAttribute = 1u << 2,
+  kOnGrouping = 1u << 3,
+  kOnAny = kOnNone | kOnClass | kOnAttribute | kOnGrouping,
+  kOnClassWithParents = 1u << 4,  // a class, under multiple inheritance
+};
+
+constexpr MenuRow kForestMenu[] = {
+    {{"(re)name", ""}, kOnAny},
+    {{"create baseclass", ""}, kOnAny},
+    {{"view associations", "F1"}, kOnClass},
+    {{"view contents", "F2"}, kOnClass},
+    {{"create subclass", "F3"}, kOnClass},
+    {{"create attribute", "F4"}, kOnClass},
+    {{"(re)define membership", ""}, kOnClass},
+    {{"define constraint", ""}, kOnClass},
+    {{"display predicate", ""}, kOnClass},
+    {{"add parent", ""}, kOnClassWithParents},
+    {{"(re)specify value class", ""}, kOnAttribute},
+    {{"(re)define derivation", ""}, kOnAttribute},
+    {{"create grouping", ""}, kOnAttribute},
+    {{"display predicate", ""}, kOnAttribute},
+    {{"view contents", "F2"}, kOnGrouping},
+    {{"display predicate", ""}, kOnGrouping},
+    {{"check constraints", ""}, kOnAny},
+    {{"drop constraint", ""}, kOnAny},
+    {{"statistics", ""}, kOnAny},
+    {{"show history", ""}, kOnAny},
+    {{"delete", ""}, kOnAny},
+    {{"undo", ""}, kOnAny},
+    {{"redo", ""}, kOnAny},
+    {{"pan left", ""}, kOnAny},
+    {{"pan right", ""}, kOnAny},
+    {{"pan up", ""}, kOnAny},
+    {{"pan down", ""}, kOnAny},
+    {{"save", ""}, kOnAny},
+    {{"load", ""}, kOnAny},
+    {{"stop", ""}, kOnAny},
+};
+
+/// The menu while a new subclass waits to be placed.
+constexpr Menu::Item kPlacementMenu[] = {{"abort", ""}};
+
+/// The forest menu rows for the current selection, copied into `out`.
+std::span<const Menu::Item> ForestMenu(const RenderContext& ctx,
+                                       std::span<Menu::Item> out) {
   if (ctx.st.temp_visit == TempVisit::kSubclassPlacement) {
-    add("abort");
-    return items;
+    return kPlacementMenu;
   }
-  add("(re)name");
-  add("create baseclass");
-  switch (sel.kind) {
+  unsigned mask = kOnNone;
+  switch (ctx.st.selection.kind) {
     case SchemaSelection::Kind::kClass:
-      add("view associations", "F1");
-      add("view contents", "F2");
-      add("create subclass", "F3");
-      add("create attribute", "F4");
-      add("(re)define membership");
-      add("define constraint");
-      add("display predicate");
+      mask = kOnClass;
       if (ctx.ws.db().schema().options().allow_multiple_parents) {
-        add("add parent");
+        mask |= kOnClassWithParents;
       }
       break;
     case SchemaSelection::Kind::kAttribute:
-      add("(re)specify value class");
-      add("(re)define derivation");
-      add("create grouping");
-      add("display predicate");
+      mask = kOnAttribute;
       break;
     case SchemaSelection::Kind::kGrouping:
-      add("view contents", "F2");
-      add("display predicate");
+      mask = kOnGrouping;
       break;
     case SchemaSelection::Kind::kNone:
       break;
   }
-  add("check constraints");
-  add("drop constraint");
-  add("statistics");
-  add("show history");
-  add("delete");
-  add("undo");
-  add("redo");
-  add("pan left");
-  add("pan right");
-  add("pan up");
-  add("pan down");
-  add("save");
-  add("load");
-  add("stop");
-  return items;
+  return ShownItems(kForestMenu, mask, out);
 }
 
 }  // namespace
 
-Screen RenderForestView(const RenderContext& ctx) {
-  Screen screen;
-  Rect content = DrawChrome(&screen, ctx.ws.name(), "inheritance forest",
-                            ForestMenu(ctx), ctx.message);
-  Window win(&screen.canvas, content);
+void RenderForestView(const RenderContext& ctx, Screen* screen) {
+  std::array<Menu::Item, std::size(kForestMenu)> menu;
+  Rect content = DrawChrome(screen, ctx.ws.name(), "inheritance forest",
+                            ForestMenu(ctx, menu), ctx.message);
+  Window win(&screen->canvas, content);
   win.SetPan(ctx.st.pan_x, ctx.st.pan_y);
 
   const Schema& schema = ctx.ws.db().schema();
@@ -229,11 +248,11 @@ Screen RenderForestView(const RenderContext& ctx) {
   }
 
   for (const auto& p : layout.classes) {
-    DrawClassBox(&win, &screen, ctx.ws, p.cls, p.x, p.y,
+    DrawClassBox(&win, screen, ctx.ws, p.cls, p.x, p.y,
                  /*include_inherited=*/false);
   }
   for (const auto& g : layout.groupings) {
-    DrawGroupingBox(&win, &screen, ctx.ws, g.g, g.x, g.y);
+    DrawGroupingBox(&win, screen, ctx.ws, g.g, g.x, g.y);
   }
 
   // "A list of all classes can be created, as a pop-up menu, for selecting
@@ -245,16 +264,17 @@ Screen RenderForestView(const RenderContext& ctx) {
     int h = static_cast<int>(all.size()) + 2;
     Rect popup{content.x + 1, content.y + 1, 22,
                std::min(h, content.h - 2)};
-    screen.canvas.Fill(popup, ' ');
-    screen.canvas.Box(popup);
-    screen.canvas.Text(popup.x + 2, popup.y, "[all classes]", gfx::kBold);
+    gfx::Canvas& canvas = screen->canvas;
+    canvas.Fill(popup, ' ');
+    canvas.Box(popup);
+    canvas.Text(popup.x + 2, popup.y, "[all classes]", gfx::kBold);
     int row = popup.y + 1;
     for (ClassId c : all) {
       if (row >= popup.bottom() - 1) break;
       const std::string& nm = schema.GetClass(c).name;
       Rect hit{popup.x + 1, row, popup.w - 2, 1};
-      screen.canvas.Text(hit.x + 1, row, nm.substr(0, 18));
-      screen.hits.push_back(HitRegion{hit, "class:" + nm});
+      canvas.Text(hit.x + 1, row, std::string_view(nm).substr(0, 18));
+      screen->hits.push_back(HitRegion{hit, "class:" + nm});
       ++row;
     }
   }
@@ -286,8 +306,6 @@ Screen RenderForestView(const RenderContext& ctx) {
       if (g.g == sel.grouping) DrawHandIcon(&win, g.x, g.y);
     }
   }
-
-  return screen;
 }
 
 }  // namespace isis::ui

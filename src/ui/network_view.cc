@@ -24,17 +24,11 @@ using sdm::SchemaNode;
 
 namespace {
 
-std::vector<Menu::Item> NetworkMenu() {
-  std::vector<Menu::Item> items;
-  items.push_back(Menu::Item{"pop", "F0", true});
-  items.push_back(Menu::Item{"view contents", "F2", true});
-  items.push_back(Menu::Item{"pan left", "", true});
-  items.push_back(Menu::Item{"pan right", "", true});
-  items.push_back(Menu::Item{"pan up", "", true});
-  items.push_back(Menu::Item{"pan down", "", true});
-  items.push_back(Menu::Item{"stop", "", true});
-  return items;
-}
+constexpr Menu::Item kNetworkMenu[] = {
+    {"pop", "F0"},       {"view contents", "F2"}, {"pan left", ""},
+    {"pan right", ""},   {"pan up", ""},          {"pan down", ""},
+    {"stop", ""},
+};
 
 std::string NodeKey(const SchemaNode& n) {
   return n.kind == SchemaNode::Kind::kClass
@@ -44,24 +38,23 @@ std::string NodeKey(const SchemaNode& n) {
 
 }  // namespace
 
-Screen RenderNetworkView(const RenderContext& ctx) {
-  Screen screen;
-  Rect content = DrawChrome(&screen, ctx.ws.name(), "semantic network",
-                            NetworkMenu(), ctx.message);
-  Window win(&screen.canvas, content);
+void RenderNetworkView(const RenderContext& ctx, Screen* screen) {
+  Rect content = DrawChrome(screen, ctx.ws.name(), "semantic network",
+                            kNetworkMenu, ctx.message);
+  Window win(&screen->canvas, content);
   win.SetPan(ctx.st.pan_x, ctx.st.pan_y);
 
   const Schema& schema = ctx.ws.db().schema();
   const SchemaSelection& sel = ctx.st.selection;
   if (sel.kind != SchemaSelection::Kind::kClass || !schema.HasClass(sel.cls)) {
     win.Text(2, 2, "pick a class in the inheritance forest first");
-    return screen;
+    return;
   }
 
   // The selection, with inherited attributes.
   BoxMetrics sm = ClassBoxMetrics(ctx.ws, sel.cls, /*include_inherited=*/true);
   int sx = 2, sy = 2;
-  DrawClassBox(&win, &screen, ctx.ws, sel.cls, sx, sy,
+  DrawClassBox(&win, screen, ctx.ws, sel.cls, sx, sy,
                /*include_inherited=*/true);
   // The hand marker sits above the box (no room in the left margin here).
   win.Text(sx, sy - 1, "hand ==v", gfx::kBold);
@@ -86,10 +79,10 @@ Screen RenderNetworkView(const RenderContext& ctx) {
               ? ClassBoxMetrics(ctx.ws, arc.to.class_id, false)
               : GroupingBoxMetrics(ctx.ws, arc.to.grouping_id);
       if (arc.to.kind == SchemaNode::Kind::kClass) {
-        DrawClassBox(&win, &screen, ctx.ws, arc.to.class_id, target_x, ty,
+        DrawClassBox(&win, screen, ctx.ws, arc.to.class_id, target_x, ty,
                      /*include_inherited=*/false);
       } else {
-        DrawGroupingBox(&win, &screen, ctx.ws, arc.to.grouping_id, target_x,
+        DrawGroupingBox(&win, screen, ctx.ws, arc.to.grouping_id, target_x,
                         ty);
       }
       node_y[key] = ty;
@@ -136,8 +129,6 @@ Screen RenderNetworkView(const RenderContext& ctx) {
     }
     win.Text(2, y, line, gfx::kDim);
   }
-
-  return screen;
 }
 
 }  // namespace isis::ui

@@ -76,10 +76,10 @@ void DrawClassBox(Window* win, Screen* screen, const query::Workspace& ws,
   BoxMetrics m = ClassBoxMetrics(ws, cls, include_inherited);
   Rect logical{x, y, m.width, m.height};
   win->Box(logical);
-  // Name section: reverse video for baseclasses (§3.2).
-  std::string name = def.name;
-  name.resize(inner, ' ');
-  win->Text(x + 1, y + 1, name, def.is_base() ? gfx::kReverse : gfx::kPlain);
+  // Name section, padded to the box: reverse video for baseclasses (§3.2).
+  const std::uint8_t name_style = def.is_base() ? gfx::kReverse : gfx::kPlain;
+  win->HLine(x + 1, y + 1, inner, ' ', name_style);
+  win->Text(x + 1, y + 1, def.name, name_style);
   // Characteristic fill pattern row.
   for (int i = 0; i < inner; ++i) {
     win->Put(x + 1 + i, y + 2, gfx::PatternGlyph(def.fill_pattern, i, 0));
@@ -99,11 +99,10 @@ void DrawClassBox(Window* win, Screen* screen, const query::Workspace& ws,
         attr.value_grouping.valid()
             ? schema.GetGrouping(attr.value_grouping).fill_pattern
             : schema.GetClass(attr.value_class).fill_pattern;
-    std::string label = attr.name;
-    label.resize(inner - kSwatchWidth, ' ');
-    win->Text(x + 1, row, label,
-              attr.origin == sdm::AttrOrigin::kDerived ? gfx::kDim
-                                                        : gfx::kPlain);
+    const std::uint8_t label_style =
+        attr.origin == sdm::AttrOrigin::kDerived ? gfx::kDim : gfx::kPlain;
+    win->HLine(x + 1, row, inner - kSwatchWidth, ' ', label_style);
+    win->Text(x + 1, row, attr.name, label_style);
     for (int i = 0; i < kSwatchWidth; ++i) {
       bool border = attr.multivalued && (i == 0 || i == kSwatchWidth - 1);
       win->Put(x + 1 + inner - kSwatchWidth + i, row,
@@ -130,9 +129,8 @@ void DrawGroupingBox(Window* win, Screen* screen, const query::Workspace& ws,
   int inner = m.width - 2;
   Rect logical{x, y, m.width, m.height};
   win->Box(logical);
-  std::string name = def.name;
-  name.resize(inner, ' ');
-  win->Text(x + 1, y + 1, name);
+  win->HLine(x + 1, y + 1, inner, ' ');
+  win->Text(x + 1, y + 1, def.name);
   // Pattern row with the white set border.
   for (int i = 0; i < inner; ++i) {
     bool border = i == 0 || i == inner - 1;
@@ -151,29 +149,43 @@ void DrawHandIcon(Window* win, int x, int y) {
   win->Text(x - 2, y + 1, "=>", gfx::kBold);
 }
 
-Rect DrawChrome(Screen* screen, const std::string& db_name,
-                const std::string& view_name,
-                const std::vector<Menu::Item>& menu_items,
-                const std::string& message) {
+std::span<const Menu::Item> ShownItems(std::span<const MenuRow> rows,
+                                       unsigned mask,
+                                       std::span<Menu::Item> out) {
+  size_t n = 0;
+  for (const MenuRow& row : rows) {
+    if (row.when & mask) out[n++] = row.item;
+  }
+  return out.first(n);
+}
+
+Rect DrawChrome(Screen* screen, std::string_view db_name,
+                std::string_view view_name,
+                std::span<const Menu::Item> menu_items,
+                std::string_view message) {
   Canvas& canvas = screen->canvas;
   canvas.Clear();
-  // Title bar.
+  screen->hits.clear();
+  // Title bar: " ISIS | <database> | <view> ", centered.
   canvas.Fill(Rect{0, 0, canvas.width(), 1}, ' ', gfx::kReverse);
-  std::string title = " ISIS | " + db_name + " | " + view_name + " ";
-  canvas.Text((canvas.width() - static_cast<int>(title.size())) / 2, 0, title,
-              gfx::kReverse);
+  const std::string_view title[] = {" ISIS | ", db_name, " | ", view_name,
+                                    " "};
+  int title_w = 0;
+  for (std::string_view part : title) title_w += static_cast<int>(part.size());
+  int x = (canvas.width() - title_w) / 2;
+  for (std::string_view part : title) {
+    canvas.Text(x, 0, part, gfx::kReverse);
+    x += static_cast<int>(part.size());
+  }
   // Right-hand menu.
   const int menu_w = 25;
   Rect menu_rect{canvas.width() - menu_w, 1,
                  menu_w, canvas.height() - 5};
-  gfx::Menu menu("commands");
-  for (const Menu::Item& item : menu_items) {
-    menu.Add(item.command, item.key, item.enabled);
-  }
-  std::vector<Rect> rows = menu.Render(&canvas, menu_rect);
-  for (size_t i = 0; i < rows.size() && i < menu_items.size(); ++i) {
-    screen->hits.push_back(
-        HitRegion{rows[i], "menu:" + menu_items[i].command});
+  gfx::Menu("commands", menu_items).Render(&canvas, menu_rect);
+  for (size_t i = 0; i < menu_items.size(); ++i) {
+    screen->hits.push_back(HitRegion{Menu::ItemRect(menu_rect, i),
+                                     std::string("menu:").append(
+                                         menu_items[i].command)});
   }
   // Bottom text window.
   gfx::TextWindow text;

@@ -6,7 +6,9 @@
 #ifndef ISIS_UI_RENDER_UTIL_H_
 #define ISIS_UI_RENDER_UTIL_H_
 
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gfx/widgets.h"
@@ -48,14 +50,28 @@ void DrawGroupingBox(gfx::Window* win, Screen* screen,
 /// Draws the hand icon pointing at a box whose logical top-left is (x, y).
 void DrawHandIcon(gfx::Window* win, int x, int y);
 
-/// Draws the standard view chrome: title bar (database name + view name),
-/// the right-hand menu (with `menu:<command>` hit regions), and the bottom
-/// text window with `message`. Returns the content area for the view's
-/// window.
-gfx::Rect DrawChrome(Screen* screen, const std::string& db_name,
-                     const std::string& view_name,
-                     const std::vector<gfx::Menu::Item>& menu_items,
-                     const std::string& message);
+/// One row of a view's static menu table: shown while the view's current
+/// mask shares a bit with `when`.
+struct MenuRow {
+  gfx::Menu::Item item;
+  unsigned when;
+};
+
+/// The items of `rows` whose `when` meets `mask`, in table order, copied
+/// into `out` (room for every row); returns the filled prefix.
+std::span<const gfx::Menu::Item> ShownItems(std::span<const MenuRow> rows,
+                                            unsigned mask,
+                                            std::span<gfx::Menu::Item> out);
+
+/// Draws the standard view chrome into `screen`, which it first clears in
+/// place (canvas and hit list keep their capacity): title bar (database
+/// name + view name), the right-hand menu (with `menu:<command>` hit
+/// regions), and the bottom text window with `message`. Returns the content
+/// area for the view's window.
+gfx::Rect DrawChrome(Screen* screen, std::string_view db_name,
+                     std::string_view view_name,
+                     std::span<const gfx::Menu::Item> menu_items,
+                     std::string_view message);
 
 /// Display name of the current schema selection ("soloists", "plays", ...).
 std::string SelectionName(const query::Workspace& ws,

@@ -2,7 +2,8 @@
 /// \brief A rendered view plus its pick hit-map.
 ///
 /// Views are pure functions of (workspace, session state) to a Screen; the
-/// controller hit-tests PickEvents against the regions. Named picks in
+/// controller hit-tests PickEvents against the regions. A session keeps one
+/// Screen and each render redraws it in place. Named picks in
 /// session scripts resolve through the same regions, so scripted sessions
 /// exercise exactly the interactive code path.
 

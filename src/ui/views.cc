@@ -16,18 +16,17 @@ const char* LevelToString(Level level) {
   return "?";
 }
 
-Screen RenderCurrent(const RenderContext& ctx) {
+void RenderCurrent(const RenderContext& ctx, Screen* screen) {
   switch (ctx.st.level) {
     case Level::kInheritanceForest:
-      return RenderForestView(ctx);
+      return RenderForestView(ctx, screen);
     case Level::kSemanticNetwork:
-      return RenderNetworkView(ctx);
+      return RenderNetworkView(ctx, screen);
     case Level::kPredicateWorksheet:
-      return RenderWorksheetView(ctx);
+      return RenderWorksheetView(ctx, screen);
     case Level::kDataLevel:
-      return RenderDataView(ctx);
+      return RenderDataView(ctx, screen);
   }
-  return Screen();
 }
 
 }  // namespace isis::ui

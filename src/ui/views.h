@@ -4,12 +4,14 @@
 ///
 /// Each view is a pure function of (workspace, session state) to a Screen
 /// (canvas + hit regions), which makes every one of the paper's Figures
-/// 1-12 a deterministic artifact of a session-script prefix.
+/// 1-12 a deterministic artifact of a session-script prefix. A view draws
+/// into a caller-owned Screen, replacing all of its contents, so a session
+/// can render every event into the one screen it keeps.
 
 #ifndef ISIS_UI_VIEWS_H_
 #define ISIS_UI_VIEWS_H_
 
-#include <string>
+#include <string_view>
 
 #include "query/workspace.h"
 #include "ui/screen.h"
@@ -23,29 +25,29 @@ struct RenderContext {
   const SessionState& st;
   /// Status line contents: prompts, warnings, textual output (§3's text
   /// windows).
-  std::string message;
+  std::string_view message;
 };
 
 /// The inheritance forest view (Figures 1, 8, 12): trees of classes with
 /// groupings above and subclasses below, the hand icon at the schema
 /// selection, and the editing menu on the right.
-Screen RenderForestView(const RenderContext& ctx);
+void RenderForestView(const RenderContext& ctx, Screen* screen);
 
 /// The semantic network view (Figure 2): the selected class with its
 /// outgoing labeled arcs (single arrow singlevalued, double arrow
 /// multivalued), inherited attributes included.
-Screen RenderNetworkView(const RenderContext& ctx);
+void RenderNetworkView(const RenderContext& ctx, Screen* screen);
 
 /// The predicate worksheet (Figures 9, 10): clause windows, the atom list,
 /// the atom construction window with its class stack, and the class list.
-Screen RenderWorksheetView(const RenderContext& ctx);
+void RenderWorksheetView(const RenderContext& ctx, Screen* screen);
 
 /// The data level (Figures 3-7, 11): overlapping pages, each with the full
 /// attribute section and a pannable member list; selected members bold.
-Screen RenderDataView(const RenderContext& ctx);
+void RenderDataView(const RenderContext& ctx, Screen* screen);
 
 /// Dispatches on ctx.st.level.
-Screen RenderCurrent(const RenderContext& ctx);
+void RenderCurrent(const RenderContext& ctx, Screen* screen);
 
 }  // namespace isis::ui
 

@@ -11,6 +11,8 @@
 /// the left) in disjunctive or conjunctive normal form."
 
 #include <algorithm>
+#include <array>
+#include <iterator>
 
 #include "query/eval.h"
 #include "ui/render_util.h"
@@ -30,30 +32,29 @@ using sdm::Schema;
 
 namespace {
 
-std::vector<Menu::Item> WorksheetMenu(const RenderContext& ctx) {
-  std::vector<Menu::Item> items;
-  auto add = [&items](const char* cmd, const char* key = "") {
-    items.push_back(Menu::Item{cmd, key, true});
-  };
-  add("edit");
-  add("place 1");
-  add("place 2");
-  add("place 3");
-  add("lhs");
-  add("rhs map");
-  add("rhs map starting at class");
-  add("rhs constant");
-  add("rhs constant starting at class");
-  add("negate");
-  if (ctx.st.worksheet.target == WorksheetState::Target::kDerivation) {
-    add("hand");  // the unary assignment operator's icon
-  }
-  add("switch and/or");
-  add("clear atom");
-  add("commit");
-  add("abort");
-  return items;
-}
+// Which worksheet targets a menu row is shown for.
+enum : unsigned {
+  kAnyTarget = 1u << 0,
+  kDerivationTarget = 1u << 1,
+};
+
+constexpr MenuRow kWorksheetMenu[] = {
+    {{"edit", ""}, kAnyTarget},
+    {{"place 1", ""}, kAnyTarget},
+    {{"place 2", ""}, kAnyTarget},
+    {{"place 3", ""}, kAnyTarget},
+    {{"lhs", ""}, kAnyTarget},
+    {{"rhs map", ""}, kAnyTarget},
+    {{"rhs map starting at class", ""}, kAnyTarget},
+    {{"rhs constant", ""}, kAnyTarget},
+    {{"rhs constant starting at class", ""}, kAnyTarget},
+    {{"negate", ""}, kAnyTarget},
+    {{"hand", ""}, kDerivationTarget},  // the unary assignment operator's icon
+    {{"switch and/or", ""}, kAnyTarget},
+    {{"clear atom", ""}, kAnyTarget},
+    {{"commit", ""}, kAnyTarget},
+    {{"abort", ""}, kAnyTarget},
+};
 
 /// Names of the classes a term's map passes through, for the class stack.
 std::vector<std::string> TermClassStack(const query::Workspace& ws,
@@ -124,14 +125,17 @@ static ClassId WorksheetCandidateClass(const query::Workspace& ws,
   return ClassId();
 }
 
-Screen RenderWorksheetView(const RenderContext& ctx) {
-  Screen screen;
-  Rect content = DrawChrome(&screen, ctx.ws.name(), "predicate worksheet",
-                            WorksheetMenu(ctx), ctx.message);
-  (void)content;
-  gfx::Canvas& canvas = screen.canvas;
-  const Schema& schema = ctx.ws.db().schema();
+void RenderWorksheetView(const RenderContext& ctx, Screen* screen) {
   const WorksheetState& w = ctx.st.worksheet;
+  std::array<Menu::Item, std::size(kWorksheetMenu)> menu;
+  const unsigned mask =
+      kAnyTarget | (w.target == WorksheetState::Target::kDerivation
+                        ? kDerivationTarget
+                        : 0u);
+  DrawChrome(screen, ctx.ws.name(), "predicate worksheet",
+             ShownItems(kWorksheetMenu, mask, menu), ctx.message);
+  gfx::Canvas& canvas = screen->canvas;
+  const Schema& schema = ctx.ws.db().schema();
 
   // Header: what is being defined.
   std::string header;
@@ -178,7 +182,7 @@ Screen RenderWorksheetView(const RenderContext& ctx) {
       }
     }
     canvas.Text(r.x + 2, r.y + 2, atoms, gfx::kBold);
-    screen.hits.push_back(HitRegion{r, "clause:" + std::to_string(c + 1)});
+    screen->hits.push_back(HitRegion{r, "clause:" + std::to_string(c + 1)});
   }
 
   // Atom list window above the construction window.
@@ -195,10 +199,11 @@ Screen RenderWorksheetView(const RenderContext& ctx) {
     bool current = w.current_atom == i;
     Rect row{atom_list.x + 1, atom_list.y + 1 + i, atom_list.w - 2, 1};
     canvas.Text(row.x + 1, row.y,
-                text.substr(0, static_cast<size_t>(atom_list.w - 4)),
+                std::string_view(text).substr(
+                    0, static_cast<size_t>(atom_list.w - 4)),
                 current ? gfx::kBold : gfx::kPlain);
     if (current) canvas.Put(row.x, row.y, '>');
-    screen.hits.push_back(HitRegion{row, std::string("atom:") + letter});
+    screen->hits.push_back(HitRegion{row, std::string("atom:") + letter});
   }
 
   // The atom construction window.
@@ -234,7 +239,7 @@ Screen RenderWorksheetView(const RenderContext& ctx) {
         if (ax + static_cast<int>(nm.size()) >= cons.right() - 1) break;
         Rect hit{ax, cons.y + 9, static_cast<int>(nm.size()), 1};
         canvas.Text(ax, cons.y + 9, nm);
-        screen.hits.push_back(HitRegion{hit, "attr:" + nm});
+        screen->hits.push_back(HitRegion{hit, "attr:" + nm});
         ax += static_cast<int>(nm.size()) + 2;
       }
     }
@@ -277,7 +282,7 @@ Screen RenderWorksheetView(const RenderContext& ctx) {
         if (ax + static_cast<int>(nm.size()) >= cons.right() - 1) break;
         Rect hit{ax, cons.y + 9, static_cast<int>(nm.size()), 1};
         canvas.Text(ax, cons.y + 9, nm);
-        screen.hits.push_back(HitRegion{hit, "attr:" + nm});
+        screen->hits.push_back(HitRegion{hit, "attr:" + nm});
         ax += static_cast<int>(nm.size()) + 2;
       }
     }
@@ -293,7 +298,7 @@ Screen RenderWorksheetView(const RenderContext& ctx) {
       std::string sym = query::SetOpToString(op);
       Rect hit{ox, cons.y + 11, static_cast<int>(sym.size()), 1};
       canvas.Text(ox, cons.y + 11, sym, gfx::kBold);
-      screen.hits.push_back(HitRegion{hit, "op:" + sym});
+      screen->hits.push_back(HitRegion{hit, "op:" + sym});
       ox += static_cast<int>(sym.size()) + 2;
     }
   } else {
@@ -310,12 +315,10 @@ Screen RenderWorksheetView(const RenderContext& ctx) {
     if (cy >= class_list.bottom() - 1) break;
     const std::string& nm = schema.GetClass(c).name;
     Rect row{class_list.x + 1, cy, class_list.w - 2, 1};
-    canvas.Text(row.x + 1, row.y, nm.substr(0, 16));
-    screen.hits.push_back(HitRegion{row, "class:" + nm});
+    canvas.Text(row.x + 1, row.y, std::string_view(nm).substr(0, 16));
+    screen->hits.push_back(HitRegion{row, "class:" + nm});
     ++cy;
   }
-
-  return screen;
 }
 
 }  // namespace isis::ui

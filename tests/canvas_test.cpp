@@ -3,11 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
+#include <string_view>
+#include <vector>
 
+#include "common/rng.h"
 #include "gfx/canvas.h"
 #include "gfx/pattern.h"
+#include "gfx/widgets.h"
 
 namespace isis::gfx {
 namespace {
@@ -148,6 +153,313 @@ TEST(CanvasTest, ClearResets) {
   c.Clear();
   EXPECT_EQ(c.ToString(), "\n");
   EXPECT_EQ(c.At(0, 0).style, kPlain);
+}
+
+/// The canvas's definition, one cell at a time: every drawing call is a
+/// loop of single-cell writes, each clipped on its own.
+class ReferenceCanvas {
+ public:
+  ReferenceCanvas(int width, int height)
+      : width_(std::max(1, width)),
+        height_(std::max(1, height)),
+        cells_(static_cast<size_t>(width_) * height_) {}
+
+  void Put(int x, int y, char ch, std::uint8_t style) {
+    if (x < 0 || x >= width_ || y < 0 || y >= height_) return;
+    cells_[static_cast<size_t>(y) * width_ + x] = Cell{ch, style};
+  }
+  Cell At(int x, int y) const {
+    if (x < 0 || x >= width_ || y < 0 || y >= height_) return Cell{};
+    return cells_[static_cast<size_t>(y) * width_ + x];
+  }
+  void Text(int x, int y, std::string_view s, std::uint8_t style) {
+    for (size_t i = 0; i < s.size(); ++i) {
+      Put(x + static_cast<int>(i), y, s[i], style);
+    }
+  }
+  void HLine(int x, int y, int w, char ch, std::uint8_t style) {
+    for (int i = 0; i < w; ++i) Put(x + i, y, ch, style);
+  }
+  void VLine(int x, int y, int h, char ch, std::uint8_t style) {
+    for (int i = 0; i < h; ++i) Put(x, y + i, ch, style);
+  }
+  void Box(const Rect& r, std::uint8_t style) {
+    if (r.w < 2 || r.h < 2) return;
+    Put(r.x, r.y, '+', style);
+    Put(r.right() - 1, r.y, '+', style);
+    Put(r.x, r.bottom() - 1, '+', style);
+    Put(r.right() - 1, r.bottom() - 1, '+', style);
+    HLine(r.x + 1, r.y, r.w - 2, '-', style);
+    HLine(r.x + 1, r.bottom() - 1, r.w - 2, '-', style);
+    VLine(r.x, r.y + 1, r.h - 2, '|', style);
+    VLine(r.right() - 1, r.y + 1, r.h - 2, '|', style);
+  }
+  void HeavyBox(const Rect& r, std::uint8_t style) {
+    if (r.w < 2 || r.h < 2) return;
+    HLine(r.x, r.y, r.w, '#', style);
+    HLine(r.x, r.bottom() - 1, r.w, '#', style);
+    VLine(r.x, r.y + 1, r.h - 2, '#', style);
+    VLine(r.right() - 1, r.y + 1, r.h - 2, '#', style);
+  }
+  void Fill(const Rect& r, char ch, std::uint8_t style) {
+    for (int y = r.y; y < r.bottom(); ++y) {
+      for (int x = r.x; x < r.right(); ++x) Put(x, y, ch, style);
+    }
+  }
+  void AddStyle(const Rect& r, std::uint8_t style) {
+    for (int y = r.y; y < r.bottom(); ++y) {
+      for (int x = r.x; x < r.right(); ++x) {
+        if (x >= 0 && x < width_ && y >= 0 && y < height_) {
+          cells_[static_cast<size_t>(y) * width_ + x].style |= style;
+        }
+      }
+    }
+  }
+  std::string ToString() const {
+    std::string out;
+    for (int y = 0; y < height_; ++y) {
+      std::string row;
+      for (int x = 0; x < width_; ++x) row += At(x, y).ch;
+      while (!row.empty() && row.back() == ' ') row.pop_back();
+      out += row + "\n";
+    }
+    return out;
+  }
+  std::string StyleString() const {
+    std::string out;
+    for (int y = 0; y < height_; ++y) {
+      std::string row;
+      for (int x = 0; x < width_; ++x) {
+        std::uint8_t s = At(x, y).style;
+        char c = ' ';
+        if ((s & kBold) && (s & kReverse)) {
+          c = 'B';
+        } else if (s & kBold) {
+          c = 'b';
+        } else if (s & kReverse) {
+          c = 'r';
+        } else if (s & kDim) {
+          c = 'd';
+        }
+        row += c;
+      }
+      while (!row.empty() && row.back() == ' ') row.pop_back();
+      out += row + "\n";
+    }
+    return out;
+  }
+
+ private:
+  int width_;
+  int height_;
+  std::vector<Cell> cells_;
+};
+
+/// Draws the same seeded random calls on both canvases, with coordinates
+/// and lengths that straddle every edge: negative, past the right and
+/// bottom edges, zero and one wide, and strings longer than a row.
+class CanvasDifferential {
+ public:
+  CanvasDifferential(int width, int height, std::uint64_t seed)
+      : canvas_(width, height), ref_(width, height), rng_(seed),
+        w_(canvas_.width()), h_(canvas_.height()) {}
+
+  const Canvas& canvas() const { return canvas_; }
+  const ReferenceCanvas& ref() const { return ref_; }
+
+  int X() { return static_cast<int>(rng_.Range(-w_ - 3, 2 * w_ + 3)); }
+  int Y() { return static_cast<int>(rng_.Range(-h_ - 3, 2 * h_ + 3)); }
+  int Length(int edge) {
+    switch (rng_.Below(4)) {
+      case 0:
+        return 0;
+      case 1:
+        return 1;
+      case 2:
+        return static_cast<int>(rng_.Range(-2, 2));
+      default:
+        return static_cast<int>(rng_.Range(0, 2 * edge + 5));
+    }
+  }
+  std::string Str() {
+    std::string s(static_cast<size_t>(std::max(0, Length(w_))), ' ');
+    for (char& c : s) c = static_cast<char>(rng_.Range(' ', '~'));
+    return s;
+  }
+  char Ch() { return static_cast<char>(rng_.Range(' ', '~')); }
+  std::uint8_t Style() { return static_cast<std::uint8_t>(rng_.Below(8)); }
+  Rect AnyRect() { return Rect{X(), Y(), Length(w_), Length(h_)}; }
+
+  /// One random drawing call on both canvases.
+  void Step() {
+    switch (rng_.Below(9)) {
+      case 0: {
+        int x = X(), y = Y();
+        char ch = Ch();
+        std::uint8_t st = Style();
+        canvas_.Put(x, y, ch, st);
+        ref_.Put(x, y, ch, st);
+        break;
+      }
+      case 1: {
+        int x = X(), y = Y();
+        std::string s = Str();
+        std::uint8_t st = Style();
+        canvas_.Text(x, y, s, st);
+        ref_.Text(x, y, s, st);
+        break;
+      }
+      case 2: {
+        int x = X(), y = Y(), w = Length(w_);
+        char ch = Ch();
+        std::uint8_t st = Style();
+        canvas_.HLine(x, y, w, ch, st);
+        ref_.HLine(x, y, w, ch, st);
+        break;
+      }
+      case 3: {
+        int x = X(), y = Y(), h = Length(h_);
+        char ch = Ch();
+        std::uint8_t st = Style();
+        canvas_.VLine(x, y, h, ch, st);
+        ref_.VLine(x, y, h, ch, st);
+        break;
+      }
+      case 4: {
+        Rect r = AnyRect();
+        std::uint8_t st = Style();
+        canvas_.Box(r, st);
+        ref_.Box(r, st);
+        break;
+      }
+      case 5: {
+        Rect r = AnyRect();
+        std::uint8_t st = Style();
+        canvas_.HeavyBox(r, st);
+        ref_.HeavyBox(r, st);
+        break;
+      }
+      case 6: {
+        Rect r = AnyRect();
+        char ch = Ch();
+        std::uint8_t st = Style();
+        canvas_.Fill(r, ch, st);
+        ref_.Fill(r, ch, st);
+        break;
+      }
+      case 7: {
+        Rect r = AnyRect();
+        std::uint8_t st = Style();
+        canvas_.AddStyle(r, st);
+        ref_.AddStyle(r, st);
+        break;
+      }
+      default: {
+        // A clear now and then, so later calls draw over blanks again.
+        if (rng_.Chance(0.3)) {
+          canvas_.Clear();
+          ref_ = ReferenceCanvas(w_, h_);
+        }
+        break;
+      }
+    }
+  }
+
+ private:
+  Canvas canvas_;
+  ReferenceCanvas ref_;
+  Rng rng_;
+  int w_;
+  int h_;
+};
+
+/// Every cell, ToString and StyleString of the canvas equal the reference's.
+::testing::AssertionResult SameCells(const Canvas& c,
+                                     const ReferenceCanvas& ref) {
+  for (int y = -1; y <= c.height(); ++y) {
+    for (int x = -1; x <= c.width(); ++x) {
+      if (c.At(x, y).ch != ref.At(x, y).ch ||
+          c.At(x, y).style != ref.At(x, y).style) {
+        return ::testing::AssertionFailure()
+               << "cell (" << x << "," << y << ") differs";
+      }
+    }
+  }
+  if (c.ToString() != ref.ToString()) {
+    return ::testing::AssertionFailure() << "ToString differs:\n"
+                                         << c.ToString() << "vs\n"
+                                         << ref.ToString();
+  }
+  if (c.StyleString() != ref.StyleString()) {
+    return ::testing::AssertionFailure() << "StyleString differs";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(CanvasTest, SpanWritesMatchAPerCellReference) {
+  const int kSizes[][2] = {{1, 1}, {1, 6}, {6, 1}, {7, 3}, {17, 6}, {132, 40}};
+  for (const auto& size : kSizes) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      CanvasDifferential d(size[0], size[1], seed);
+      for (int step = 0; step < 300; ++step) {
+        d.Step();
+        ASSERT_TRUE(SameCells(d.canvas(), d.ref()))
+            << size[0] << "x" << size[1] << " seed " << seed << " step "
+            << step;
+      }
+    }
+  }
+}
+
+TEST(CanvasTest, WindowSpanWritesMatchPerCellPuts) {
+  // Window::Text and Window::HLine clip their run to the window once; the
+  // reference writes the same run through Window::Put, cell by cell. The
+  // windows sit inside the canvas and across each of its edges, and the
+  // pans push the runs past each edge of the window.
+  const Rect kRects[] = {{3, 2, 10, 5}, {-2, 1, 8, 4},  {12, 3, 9, 4},
+                         {4, -2, 7, 5}, {2, 6, 9, 5},   {0, 0, 20, 9},
+                         {5, 4, 1, 1},  {6, 3, 0, 2}};
+  for (const Rect& rect : kRects) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      Canvas spans(20, 9);
+      Canvas cells(20, 9);
+      Window a(&spans, rect);
+      Window b(&cells, rect);
+      Rng rng(seed);
+      for (int step = 0; step < 300; ++step) {
+        const int px = static_cast<int>(rng.Range(-12, 12));
+        const int py = static_cast<int>(rng.Range(-6, 6));
+        a.SetPan(px, py);
+        b.SetPan(px, py);
+        const int lx = static_cast<int>(rng.Range(-14, 26));
+        const int ly = static_cast<int>(rng.Range(-8, 14));
+        const std::uint8_t style = static_cast<std::uint8_t>(rng.Below(8));
+        const int n = static_cast<int>(rng.Range(-1, 30));
+        if (rng.Chance(0.5)) {
+          std::string s(static_cast<size_t>(std::max(0, n)), ' ');
+          for (char& c : s) c = static_cast<char>(rng.Range('a', 'z'));
+          a.Text(lx, ly, s, style);
+          for (size_t i = 0; i < s.size(); ++i) {
+            b.Put(lx + static_cast<int>(i), ly, s[i], style);
+          }
+        } else {
+          const char ch = static_cast<char>(rng.Range('A', 'Z'));
+          a.HLine(lx, ly, n, ch, style);
+          for (int i = 0; i < n; ++i) b.Put(lx + i, ly, ch, style);
+        }
+        ASSERT_EQ(spans.ToString(), cells.ToString())
+            << "rect " << rect.x << "," << rect.y << " " << rect.w << "x"
+            << rect.h << " seed " << seed << " step " << step;
+        ASSERT_EQ(spans.StyleString(), cells.StyleString());
+        for (int y = 0; y < spans.height(); ++y) {
+          for (int x = 0; x < spans.width(); ++x) {
+            ASSERT_EQ(spans.At(x, y).ch, cells.At(x, y).ch);
+            ASSERT_EQ(spans.At(x, y).style, cells.At(x, y).style);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(PatternTest, FirstSixteenDistinct) {

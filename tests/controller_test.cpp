@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <set>
 
 #include "datasets/instrumental_music.h"
 #include "query/parser.h"
 #include "sdm/consistency.h"
 #include "store/serializer.h"
 #include "ui/controller.h"
+#include "ui/views.h"
 
 namespace isis::ui {
 namespace {
@@ -462,6 +464,85 @@ TEST_F(ControllerTest, ValueClassPopupListsPredefinedClasses) {
   EXPECT_EQ(s.GetAttribute(rating).value_class, sdm::Schema::kIntegers());
   // The pop-up is gone after the pick.
   EXPECT_EQ(session_.Render().FindTarget("class:INTEGER"), nullptr);
+}
+
+// A session renders every event into the one screen it keeps. After each
+// event of a walk through all four views, that screen must equal a fresh
+// one rendered from the same state: the characters, the styles and the
+// ordered hit list. Screens with more on them precede screens with less
+// (the value-class pop-up, a grouping page, a panned member list), so a
+// clear that left cells or hits behind would show.
+TEST_F(ControllerTest, RenderIntoAReusedScreenEqualsAFreshOne) {
+  Result<std::vector<input::Event>> events = input::ParseScript(
+      // The forest, with and without the value-class pop-up.
+      "pick class:music_groups\n"
+      "cmd create attribute\n"
+      "type rating\n"
+      "cmd (re)specify value class\n"
+      "pick class:INTEGER\n"
+      // The semantic network, panned, and back.
+      "pick class:musicians\n"
+      "cmd view associations\n"
+      "cmd pan right\n"
+      "cmd pop\n"
+      // The worksheet, with a temporary visit to the data level.
+      "pick class:music_groups\n"
+      "cmd create subclass\n"
+      "type trios\n"
+      "cmd (re)define membership\n"
+      "pick atom:A\n"
+      "pick clause:1\n"
+      "cmd edit\n"
+      "pick attr:size\n"
+      "pick op:=\n"
+      "cmd rhs constant\n"
+      "pick member:3\n"
+      "cmd accept constant\n"
+      "cmd commit\n"
+      // A grouping page, followed into the class page of its block.
+      "pick grouping:by_family\n"
+      "cmd view contents\n"
+      "pick member:stringed\n"
+      "cmd follow\n"
+      "cmd pop\n"
+      "cmd pop\n"
+      // A class page with its member list panned, then followed.
+      "pick class:instruments\n"
+      "cmd view contents\n"
+      "cmd members down\n"
+      "cmd members up\n"
+      "pick member:violin\n"
+      "cmd follow\n"
+      "pick attr:family\n"
+      "cmd pop\n"
+      "cmd pop\n");
+  ASSERT_TRUE(events.ok()) << events.status().ToString();
+  std::set<Level> seen;
+  for (size_t i = 0; i < events->size(); ++i) {
+    const input::Event& event = (*events)[i];
+    ASSERT_TRUE(session_.HandleEvent(event).ok())
+        << input::EventToString(event) << ": " << session_.message();
+    const Screen& reused = session_.Render();
+    Screen fresh;
+    RenderCurrent(RenderContext{session_.workspace(), session_.state(),
+                                session_.message()},
+                  &fresh);
+    seen.insert(session_.state().level);
+    const std::string at = "after event " + std::to_string(i) + " " +
+                           input::EventToString(event);
+    ASSERT_EQ(reused.canvas.ToString(), fresh.canvas.ToString()) << at;
+    ASSERT_EQ(reused.canvas.StyleString(), fresh.canvas.StyleString()) << at;
+    ASSERT_EQ(reused.hits.size(), fresh.hits.size()) << at;
+    for (size_t h = 0; h < fresh.hits.size(); ++h) {
+      const HitRegion& a = reused.hits[h];
+      const HitRegion& b = fresh.hits[h];
+      ASSERT_EQ(a.target, b.target) << at << ", hit " << h;
+      ASSERT_TRUE(a.rect.x == b.rect.x && a.rect.y == b.rect.y &&
+                  a.rect.w == b.rect.w && a.rect.h == b.rect.h)
+          << at << ", hit " << h << " " << a.target;
+    }
+  }
+  EXPECT_EQ(seen.size(), 4u);  // every view was drawn
 }
 
 

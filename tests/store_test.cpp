@@ -292,5 +292,27 @@ TEST(StoreTest, DerivedAttributeDerivationsRoundTrip) {
   EXPECT_EQ(Save(**loaded), Save(*ws));
 }
 
+TEST(StoreTest, GroupingOnANamingAttributeRoundTrips) {
+  // Load checks every grouping against its derivation. Reading the values
+  // or blocks of a naming attribute interns each name as a string entity,
+  // so that check must not read them, or the load changes what it loads.
+  auto ws = datasets::BuildInstrumentalMusic();
+  sdm::Database& db = ws->db();
+  ClassId instruments = *db.schema().FindClass("instruments");
+  AttributeId name = *db.schema().FindAttribute(instruments, "name");
+  ASSERT_TRUE(db.CreateGrouping("by_name", instruments, name).ok());
+  const std::string blob = Save(*ws);
+  auto loaded = Load(blob);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(Save(**loaded), blob);
+  // The next entity gets the same id on both sides.
+  Result<EntityId> here = db.CreateEntity(instruments, "theremin");
+  Result<EntityId> there =
+      (*loaded)->db().CreateEntity(instruments, "theremin");
+  ASSERT_TRUE(here.ok()) << here.status().ToString();
+  ASSERT_TRUE(there.ok()) << there.status().ToString();
+  EXPECT_EQ(*here, *there);
+}
+
 }  // namespace
 }  // namespace isis::store

@@ -19,8 +19,9 @@ class ViewsTest : public ::testing::Test {
     return SchemaSelection::Class(*ws_->db().schema().FindClass(name));
   }
   Screen Render(const SessionState& st) {
-    RenderContext ctx{*ws_, st, "test message"};
-    return RenderCurrent(ctx);
+    Screen screen;
+    RenderCurrent(RenderContext{*ws_, st, "test message"}, &screen);
+    return screen;
   }
   bool HasHit(const Screen& s, const std::string& target) {
     return s.FindTarget(target) != nullptr;

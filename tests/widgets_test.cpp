@@ -10,25 +10,34 @@ namespace isis::gfx {
 namespace {
 
 TEST(MenuTest, RendersItemsAndReturnsHitRows) {
-  Menu menu("commands");
-  menu.Add("view contents", "F2");
-  menu.Add("delete");
-  menu.Add("ghost", "", /*enabled=*/false);
+  static constexpr Menu::Item kItems[] = {
+      {"view contents", "F2"},
+      {"delete", ""},
+      {"ghost", "", /*enabled=*/false},
+  };
+  Menu menu("commands", kItems);
   Canvas c(30, 8);
-  std::vector<Rect> rows = menu.Render(&c, Rect{0, 0, 30, 8});
-  ASSERT_EQ(rows.size(), 3u);
+  const Rect r{0, 0, 30, 8};
+  menu.Render(&c, r);
   std::string s = c.ToString();
   EXPECT_NE(s.find("view contents"), std::string::npos);
   EXPECT_NE(s.find("F2"), std::string::npos);
   EXPECT_NE(s.find("commands"), std::string::npos);
-  // Hit rows are inside the menu rect, one per item, top to bottom.
-  EXPECT_EQ(rows[0].y + 1, rows[1].y);
-  EXPECT_TRUE((Rect{0, 0, 30, 8}).Contains(rows[0].x, rows[0].y));
+  // Hit rows are inside the menu rect, one per item, top to bottom, on the
+  // row that shows the item's command.
+  for (size_t i = 0; i < menu.items().size(); ++i) {
+    Rect row = Menu::ItemRect(r, i);
+    EXPECT_TRUE(r.Contains(row.x, row.y));
+    EXPECT_EQ(row.y, 1 + static_cast<int>(i));
+    EXPECT_EQ(c.At(5, row.y).ch, kItems[i].command[0]);
+  }
+  EXPECT_EQ(c.At(5, 3).style, kDim);  // a disabled command is dim
 }
 
 TEST(MenuTest, LongCommandsClippedInsideBorder) {
-  Menu menu("m");
-  menu.Add("an extremely long command name that overflows");
+  static constexpr Menu::Item kItems[] = {
+      {"an extremely long command name that overflows", ""}};
+  Menu menu("m", kItems);
   Canvas c(20, 4);
   menu.Render(&c, Rect{0, 0, 20, 4});
   // The right border survives.
