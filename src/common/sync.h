@@ -30,8 +30,12 @@
 #ifndef ISIS_COMMON_SYNC_H_
 #define ISIS_COMMON_SYNC_H_
 
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
+#include <cstdint>
 #include <mutex>
 
 // --- Annotation macros (Clang Thread Safety Analysis). ---
@@ -219,29 +223,66 @@ class CondVar {
   std::condition_variable cv_;
 };
 
-/// \brief Writer-preferring reader-writer mutex.
+/// Bytes per cache line on the targets ISIS builds for. Per-thread state
+/// that other threads must not write (RwMutex reader slots, counter shards)
+/// is padded to it.
+inline constexpr std::size_t kCacheLineBytes = 64;
+
+/// A small dense number for the calling thread, fixed on its first call:
+/// threads are numbered 0, 1, 2, ... in the order they first ask. Per-thread
+/// sharded state indexes by it modulo its shard count, so each thread keeps
+/// writing the same shard, and threads that start one after another write
+/// different ones.
+inline int ThreadShard() {
+  static std::atomic<int> next{0};
+  thread_local const int mine = next.fetch_add(1, std::memory_order_relaxed);
+  return mine;
+}
+
+/// \brief Writer-preferring reader-writer mutex whose shared side writes
+/// only the calling thread's own cache line (a big-reader lock, after
+/// Linux's brlock and percpu_rw_semaphore).
 ///
-/// Built on Mutex + CondVar rather than std::shared_mutex so the preference
-/// policy is ours (glibc's pthread rwlock default prefers readers, which
-/// lets a saturating read load starve writers indefinitely) and so
-/// ThreadSanitizer sees plain mutex/condvar operations it fully
-/// understands. New readers block while a writer is waiting. Readers and
-/// writers wait on separate condvars, so a release wakes one waiting
-/// writer or, when no writer waits, every waiting reader -- never every
-/// waiter, which under contention would wake threads only to have most of
-/// them sleep again.
+/// A reader increments the count in its thread's slot -- one of
+/// kReaderSlots cache-line-padded counters, picked by ThreadShard() -- and
+/// then checks the writer flag. When no writer waits, that is the whole
+/// acquisition: no mutex, and no cache line that another reader writes
+/// (threads whose numbers collide modulo kReaderSlots share a slot, which
+/// stays correct and merely contends). A writer raises the flag and waits
+/// until every slot has drained. The two sides are a Dekker pair of
+/// sequentially consistent operations (count then flag, flag then counts),
+/// so either the writer sees the reader's count and waits for it, or the
+/// reader sees the flag and backs out: it undoes its count and sleeps until
+/// no writer waits. Writer preference is that back-out: new readers queue
+/// behind a waiting writer, so a saturating read load cannot starve
+/// mutations. The slow paths sleep on a Mutex and two CondVars, which
+/// ThreadSanitizer fully understands, as it does the atomics.
 ///
-/// Prefer the scoped ReaderLock/WriterLock over the manual methods.
+/// A shared hold must be released by the thread that took it (the slot is
+/// the thread's), and a thread must not take the shared side again while
+/// it holds it. Prefer the scoped ReaderLock/WriterLock over the manual
+/// methods.
 class ISIS_CAPABILITY("rw_mutex") RwMutex {
  public:
+  /// Reader-count slots; a writer reads each one, so this bounds the cost
+  /// of an exclusive acquisition.
+  static constexpr int kReaderSlots = 16;
+
   RwMutex() = default;
   RwMutex(const RwMutex&) = delete;
   RwMutex& operator=(const RwMutex&) = delete;
 
-  // The bodies (sync.cc) *implement* the capability protocol, so they are
-  // exempt from the analysis; call sites see only the contracts.
-  void LockShared() ISIS_ACQUIRE_SHARED() ISIS_NO_THREAD_SAFETY_ANALYSIS;
-  void UnlockShared() ISIS_RELEASE_SHARED() ISIS_NO_THREAD_SAFETY_ANALYSIS;
+  // The bodies *implement* the capability protocol, so they are exempt
+  // from the analysis; call sites see only the contracts.
+  void LockShared() ISIS_ACQUIRE_SHARED() ISIS_NO_THREAD_SAFETY_ANALYSIS {
+    std::atomic<int>& count = MySlot();
+    count.fetch_add(1);
+    if (writer_.load()) BackOffForWriter(count);
+  }
+  void UnlockShared() ISIS_RELEASE_SHARED() ISIS_NO_THREAD_SAFETY_ANALYSIS {
+    // A drained slot may be the last one a waiting writer needs.
+    if (MySlot().fetch_sub(1) == 1 && writer_.load()) WakeWriter();
+  }
   void LockExclusive() ISIS_ACQUIRE() ISIS_NO_THREAD_SAFETY_ANALYSIS;
   void UnlockExclusive() ISIS_RELEASE() ISIS_NO_THREAD_SAFETY_ANALYSIS;
 
@@ -250,10 +291,30 @@ class ISIS_CAPABILITY("rw_mutex") RwMutex {
   void AssertReaderHeld() const ISIS_ASSERT_SHARED_CAPABILITY(this) {}
 
  private:
-  Mutex mu_;
+  struct alignas(kCacheLineBytes) Slot {
+    std::atomic<int> readers{0};
+  };
+
+  std::atomic<int>& MySlot() {
+    return slots_[static_cast<std::size_t>(ThreadShard() % kReaderSlots)]
+        .readers;
+  }
+  /// LockShared's slow path: a writer is waiting or active. Undoes
+  /// `count`'s increment, sleeps until no writer waits, and takes the
+  /// shared side under mu_ (no writer can raise the flag meanwhile).
+  void BackOffForWriter(std::atomic<int>& count) ISIS_EXCLUDES(mu_);
+  void WakeWriter() ISIS_EXCLUDES(mu_);
+  /// Whether every reader slot reads zero.
+  bool ReadersDrained() const;
+
+  std::array<Slot, kReaderSlots> slots_{};
+  /// Raised while a writer waits or holds the lock; written only under
+  /// mu_, read by every reader. On its own line: readers only read it.
+  alignas(kCacheLineBytes) std::atomic<bool> writer_{false};
+
+  alignas(kCacheLineBytes) Mutex mu_;
   CondVar readers_cv_;
   CondVar writers_cv_;
-  int active_readers_ ISIS_GUARDED_BY(mu_) = 0;
   int waiting_writers_ ISIS_GUARDED_BY(mu_) = 0;
   bool writer_active_ ISIS_GUARDED_BY(mu_) = false;
 };
@@ -284,6 +345,61 @@ class ISIS_SCOPED_CAPABILITY WriterLock {
 
  private:
   RwMutex& mu_;
+};
+
+/// \brief `N` event counters kept in per-thread shards and summed on read.
+///
+/// A counter bumped by every request is a cache line every request thread
+/// writes; with microsecond requests that line's traffic alone serializes
+/// the threads. Each thread here writes its own cache-line-aligned shard,
+/// picked once by ThreadShard() (threads that collide modulo kShards share
+/// one, so the adds stay atomic). A read sums the shards, so it is exact at
+/// quiescence and may miss a few in-flight adds otherwise.
+template <std::size_t N>
+class ShardedCounters {
+ public:
+  static constexpr int kShards = 16;
+
+  /// Adds `delta` to counter `i` in the calling thread's shard.
+  void Add(std::size_t i, std::int64_t delta = 1) {
+    Mine()[i].fetch_add(delta, std::memory_order_relaxed);
+  }
+  /// Raises counter `i` of the calling thread's shard to `v` if it is
+  /// lower: a high-water mark, read back with Max().
+  void Raise(std::size_t i, std::int64_t v) {
+    std::atomic<std::int64_t>& c = Mine()[i];
+    std::int64_t cur = c.load(std::memory_order_relaxed);
+    while (v > cur &&
+           !c.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+    }
+  }
+  /// Counter `i` summed over the shards.
+  std::int64_t Sum(std::size_t i) const {
+    std::int64_t total = 0;
+    for (const Shard& s : shards_) {
+      total += s.c[i].load(std::memory_order_relaxed);
+    }
+    return total;
+  }
+  /// The largest value counter `i` holds in any shard.
+  std::int64_t Max(std::size_t i) const {
+    std::int64_t best = 0;
+    for (const Shard& s : shards_) {
+      const std::int64_t v = s.c[i].load(std::memory_order_relaxed);
+      if (v > best) best = v;
+    }
+    return best;
+  }
+
+ private:
+  struct alignas(kCacheLineBytes) Shard {
+    std::array<std::atomic<std::int64_t>, N> c{};
+  };
+  std::array<std::atomic<std::int64_t>, N>& Mine() {
+    return shards_[static_cast<std::size_t>(ThreadShard() % kShards)].c;
+  }
+
+  std::array<Shard, kShards> shards_{};
 };
 
 }  // namespace isis

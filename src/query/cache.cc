@@ -1,6 +1,7 @@
 #include "query/cache.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 namespace isis::query {
@@ -136,25 +137,25 @@ ResultCache::ResultCache(const sdm::Database* db, Options options)
 
 std::shared_ptr<const sdm::EntitySet> ResultCache::Lookup(
     const std::string& key) {
-  MutexLock lock(mu_);
-  const Entry* e = Find(&index_, key);
+  ReaderLock lock(mu_);
+  const Entry* e = Find(index_, key);
   if (e == nullptr) {
-    ++counters_.misses;
+    counters_.Add(kMisses);
     return nullptr;
   }
-  ++counters_.hits;
+  counters_.Add(kHits);
   return e->result;
 }
 
 bool ResultCache::Peek(const std::string& key) const {
-  MutexLock lock(mu_);
+  ReaderLock lock(mu_);
   return Holds(index_, key);
 }
 
 void ResultCache::Insert(const std::string& key, const Deps& deps,
                          std::shared_ptr<const sdm::EntitySet> result,
                          std::uint64_t computed_at) {
-  MutexLock lock(mu_);
+  WriterLock lock(mu_);
   Entry e;
   e.key = key;
   e.deps = deps;
@@ -164,17 +165,17 @@ void ResultCache::Insert(const std::string& key, const Deps& deps,
 
 bool ResultCache::LookupReply(const std::string& request,
                               std::string* reply) {
-  MutexLock lock(mu_);
-  const Entry* e = Find(&replies_, request);
+  ReaderLock lock(mu_);
+  const Entry* e = Find(replies_, request);
   if (e == nullptr) return false;
-  ++counters_.hits;
-  ++counters_.reply_hits;
+  counters_.Add(kHits);
+  counters_.Add(kReplyHits);
   *reply = e->reply;
   return true;
 }
 
 bool ResultCache::PeekReply(const std::string& request) const {
-  MutexLock lock(mu_);
+  ReaderLock lock(mu_);
   return Holds(replies_, request);
 }
 
@@ -182,12 +183,12 @@ void ResultCache::InsertReply(const std::string& request,
                               const std::string& key, const Predicate& pred,
                               ClassId v, const std::string& reply,
                               std::uint64_t computed_at) {
-  MutexLock lock(mu_);
+  WriterLock lock(mu_);
   auto ids = index_.find(key);
   if (ids == index_.end()) return;  // evicted since Lookup returned it
   Entry e;
   e.key = request;
-  e.deps = ReplyDeps(db_->schema(), pred, v, ids->second->deps);
+  e.deps = ReplyDeps(db_->schema(), pred, v, ids->second->entry.deps);
   e.is_reply = true;
   e.reply = reply;
   e.generation = db_->schema().generation();
@@ -196,49 +197,99 @@ void ResultCache::InsertReply(const std::string& request,
 
 bool ResultCache::Holds(const Index& index, std::string_view key) const {
   auto it = index.find(key);
-  return it != index.end() && Fresh(*it->second);
+  return it != index.end() && !it->second->dead.load() &&
+         Fresh(it->second->entry);
 }
 
-ResultCache::Entry* ResultCache::Find(Index* index, std::string_view key) {
-  auto it = index->find(key);
-  if (it == index->end()) return nullptr;
-  const Lru::iterator e = it->second;
-  if (!Fresh(*e)) {
-    ++counters_.invalidations;
-    index->erase(it);  // before the node its key views
-    lru_.erase(e);
+const ResultCache::Entry* ResultCache::Find(const Index& index,
+                                            std::string_view key) {
+  auto it = index.find(key);
+  if (it == index.end()) return nullptr;
+  Node& node = *it->second;
+  if (node.dead.load(std::memory_order_relaxed)) return nullptr;
+  if (!Fresh(node.entry)) {
+    // Stale for good: the stamps only grow. Only the exclusive side may
+    // unlink it, so mark it; the first marker counts it.
+    if (!node.dead.exchange(true)) {
+      counters_.Add(kInvalidations);
+      dead_.fetch_add(1);
+    }
     return nullptr;
   }
-  lru_.splice(lru_.begin(), lru_, e);
-  return &*e;
+  if (!node.referenced.load(std::memory_order_relaxed)) {
+    node.referenced.store(true, std::memory_order_relaxed);
+  }
+  return &node.entry;
 }
 
 void ResultCache::Admit(Index* index, Entry e, std::uint64_t computed_at) {
   if (computed_at != db_->version()) return;  // moved mid-evaluation
-  if (options_.capacity <= 0 || index->count(e.key) > 0) return;
-  while (static_cast<std::int64_t>(lru_.size()) >= options_.capacity) {
-    ++counters_.evictions;
-    const Entry& victim = lru_.back();
-    (victim.is_reply ? replies_ : index_).erase(victim.key);
-    lru_.pop_back();
+  if (options_.capacity <= 0) return;
+  auto held = index->find(e.key);
+  if (held != index->end()) {
+    Node& node = *held->second;
+    if (!node.dead.load() && Fresh(node.entry)) return;
+    // A stale entry no lookup has marked yet is invalidated here.
+    if (!node.dead.load()) counters_.Add(kInvalidations);
+    Drop(held->second);
+  }
+  while (static_cast<std::int64_t>(ring_.size()) >= options_.capacity) {
+    MakeRoom();
   }
   // No change counter moved since `computed_at` either (each bump comes
   // with a version advance, and nobody inserts mid-mutation), so the stamp
   // taken now is the one the entry reflects.
   e.stamp = db_->ReadSetVersion(e.deps.classes, e.deps.attrs);
-  lru_.push_front(std::move(e));
-  index->emplace(lru_.front().key, lru_.begin());
-  ++counters_.insertions;
+  // Just behind the hand: the newest entry, the last one the sweep visits.
+  const Ring::iterator node = ring_.emplace(hand_, std::move(e));
+  index->emplace(node->entry.key, node);
+  ++insertions_;
+}
+
+void ResultCache::Drop(Ring::iterator node) {
+  (node->entry.is_reply ? replies_ : index_).erase(node->entry.key);
+  if (node->dead.load()) dead_.fetch_sub(1);
+  if (hand_ == node) {
+    hand_ = ring_.erase(node);
+  } else {
+    ring_.erase(node);
+  }
+}
+
+void ResultCache::MakeRoom() {
+  if (dead_.load() > 0) {
+    for (Ring::iterator it = ring_.begin(); it != ring_.end();) {
+      Ring::iterator next = std::next(it);
+      if (it->dead.load()) Drop(it);
+      it = next;
+    }
+    return;
+  }
+  for (;;) {
+    if (hand_ == ring_.end()) hand_ = ring_.begin();
+    if (!hand_->referenced.load()) break;
+    hand_->referenced.store(false);
+    ++hand_;
+  }
+  ++evictions_;
+  Drop(hand_);
 }
 
 ResultCache::Counters ResultCache::counters() const {
-  MutexLock lock(mu_);
-  return counters_;
+  ReaderLock lock(mu_);
+  Counters c;
+  c.hits = counters_.Sum(kHits);
+  c.reply_hits = counters_.Sum(kReplyHits);
+  c.misses = counters_.Sum(kMisses);
+  c.invalidations = counters_.Sum(kInvalidations);
+  c.insertions = insertions_;
+  c.evictions = evictions_;
+  return c;
 }
 
 std::int64_t ResultCache::size() const {
-  MutexLock lock(mu_);
-  return static_cast<std::int64_t>(lru_.size());
+  ReaderLock lock(mu_);
+  return static_cast<std::int64_t>(ring_.size()) - dead_.load();
 }
 
 }  // namespace isis::query

@@ -3,7 +3,7 @@
 ///
 /// ISIS sessions re-issue the same or overlapping predicates constantly
 /// (interactive browsing is repetitive by nature), so the server keeps a
-/// small LRU cache of query answers, at two levels: the result id-set of a
+/// small cache of query answers, at two levels: the result id-set of a
 /// *normalized predicate*, and the finished reply of a *raw request* whose
 /// id-set was reused. Three mechanisms keep a hit exactly as correct as a
 /// fresh evaluation:
@@ -53,17 +53,26 @@
 ///      requests tend to repeat again; storing the reply of every request
 ///      would copy bytes that traffic of one-off predicates never reads.
 ///
-/// Both kinds of entry share one LRU list, and `capacity` bounds them
-/// together. Counting: a request counts one hit or one miss. A reply hit
-/// counts a hit (and a reply hit); a reply miss counts nothing, because the
-/// request goes on to Lookup, which counts it. A stale entry of either kind
-/// that a lookup drops counts one invalidation.
+/// Both kinds of entry share one CLOCK ring, and `capacity` bounds them
+/// together. A hit sets its entry's reference bit (written only when
+/// clear); an insert into a full ring sweeps the hand from the oldest entry
+/// on, clearing set bits and evicting the first entry whose bit is clear.
+/// Counting: a request counts one hit or one miss. A reply hit counts a hit
+/// (and a reply hit); a reply miss counts nothing, because the request goes
+/// on to Lookup, which counts it. A stale entry of either kind counts one
+/// invalidation, when the first lookup finds it: from then on it is dead --
+/// never served, not counted by size() -- until the insert that follows
+/// replaces it or an insert into a full ring reclaims it.
 ///
-/// Thread-safety: every public method locks the cache's own small mutex;
-/// hits copy a shared_ptr or the reply bytes under it, so the critical
-/// section is a hash probe, the stamp sum, a list splice and that copy. The
-/// stamps read the database's change counters and schema, so calls must not
-/// race a mutation (the server calls only under its shared lock, which
+/// Thread-safety: the cache's lock is an RwMutex (common/sync.h). Lookups
+/// and peeks take its shared side and write nothing another thread's hit
+/// writes: the counters are per-thread shards, a hit's reference bit is
+/// written only when clear, and a stale entry is marked dead once rather
+/// than unlinked. A hit copies a shared_ptr or the reply bytes under the
+/// shared side, so the critical section is a hash probe, the stamp sum and
+/// that copy. Inserts, and so the sweep, take the exclusive side. The
+/// stamps read the database's change counters and schema, so calls must
+/// not race a mutation (the server calls only under its shared lock, which
 /// also holds from the parse to InsertReply); mutations never call the
 /// cache. The cache does not register with the database: it may outlive
 /// it, but must not be called after it is gone.
@@ -71,6 +80,8 @@
 #ifndef ISIS_QUERY_CACHE_H_
 #define ISIS_QUERY_CACHE_H_
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -89,7 +100,7 @@ namespace isis::query {
 class ResultCache {
  public:
   struct Options {
-    int capacity = 1024;  ///< Entry bound; beyond it the LRU tail is evicted.
+    int capacity = 1024;  ///< Entry bound; beyond it the CLOCK sweep evicts.
   };
 
   /// Flattened read set of one cached query, as produced by
@@ -105,7 +116,7 @@ class ResultCache {
     std::int64_t reply_hits = 0;
     std::int64_t misses = 0;
     std::int64_t insertions = 0;     ///< Entries of either kind stored.
-    std::int64_t evictions = 0;      ///< Capacity (LRU) evictions.
+    std::int64_t evictions = 0;      ///< Capacity (CLOCK) evictions.
     std::int64_t invalidations = 0;  ///< Stale entries lookups dropped.
     /// Always 0: a schema change stales entries like any other change and
     /// is counted in `invalidations`. Kept for the stats that report it.
@@ -126,28 +137,30 @@ class ResultCache {
   /// the predicate structure and ids; see the file comment, rule 1.
   static std::string NormalizeKey(const Predicate& pred, ClassId v);
 
-  /// Current result for `key`, or nullptr. Counts a hit or a miss,
-  /// refreshes the entry's LRU position, and drops a stale entry (counted
-  /// as an invalidation and a miss).
+  /// Current result for `key`, or nullptr. Counts a hit or a miss, sets
+  /// the entry's reference bit, and treats a stale entry as a miss (the
+  /// first lookup to find it stale also counts an invalidation).
   std::shared_ptr<const sdm::EntitySet> Lookup(const std::string& key)
       ISIS_EXCLUDES(mu_);
 
-  /// Whether Lookup would hit, changing nothing (no counts, LRU order or
-  /// drops) -- for `explain` to report hit/miss without skewing the stats.
+  /// Whether Lookup would hit, changing nothing (no counts, reference bits
+  /// or marks) -- for `explain` to report hit/miss without skewing the
+  /// stats.
   bool Peek(const std::string& key) const ISIS_EXCLUDES(mu_);
 
   /// Publishes a result evaluated while the database was at version
   /// `computed_at`. A no-op if the database has moved since (the result may
-  /// reflect a half-applied change) or if an entry for `key` already exists
-  /// (a concurrent reader won the race; the results are identical).
+  /// reflect a half-applied change) or if a fresh entry for `key` exists (a
+  /// concurrent reader won the race; the results are identical). A stale
+  /// entry for `key` is replaced.
   void Insert(const std::string& key, const Deps& deps,
               std::shared_ptr<const sdm::EntitySet> result,
               std::uint64_t computed_at) ISIS_EXCLUDES(mu_);
 
   /// Copies the reply stored for the raw kQuery payload `request` into
-  /// `*reply`, counts a hit and a reply hit, and refreshes the entry's LRU
-  /// position. Otherwise returns false and counts nothing: the request goes
-  /// on to Lookup. Drops a stale entry (counted as an invalidation).
+  /// `*reply`, counts a hit and a reply hit, and sets the entry's reference
+  /// bit. Otherwise returns false and counts nothing but a stale entry's
+  /// invalidation: the request goes on to Lookup.
   bool LookupReply(const std::string& request, std::string* reply)
       ISIS_EXCLUDES(mu_);
 
@@ -160,14 +173,14 @@ class ResultCache {
   /// what `request` parsed to. The entry's read set is `key`'s plus the
   /// names the reply prints and the parse resolved. A no-op when `key`'s
   /// entry is gone, and under Insert's conditions: the database moved past
-  /// `computed_at` (taken before the parse), or a reply for `request`
+  /// `computed_at` (taken before the parse), or a fresh reply for `request`
   /// exists.
   void InsertReply(const std::string& request, const std::string& key,
                    const Predicate& pred, ClassId v, const std::string& reply,
                    std::uint64_t computed_at) ISIS_EXCLUDES(mu_);
 
   Counters counters() const ISIS_EXCLUDES(mu_);
-  /// Entries of either kind.
+  /// Entries of either kind a lookup may still serve (dead ones excluded).
   std::int64_t size() const ISIS_EXCLUDES(mu_);
 
  private:
@@ -180,9 +193,20 @@ class ResultCache {
     std::string reply;             ///< Reply entries: the reply payload.
     std::uint64_t generation = 0;  ///< Reply entries: Schema::generation().
   };
-  using Lru = std::list<Entry>;  ///< Both kinds. Front = most recent.
+  /// One ring slot. The flags are written under the shared side by
+  /// lookups and read or cleared by the sweep under the exclusive side.
+  struct Node {
+    explicit Node(Entry e) : entry(std::move(e)) {}
+    const Entry entry;
+    std::atomic<bool> referenced{false};  ///< CLOCK reference bit.
+    std::atomic<bool> dead{false};  ///< A lookup found it stale.
+  };
+  /// Both kinds, oldest first; the sweep's hand goes round it.
+  using Ring = std::list<Node>;
   /// Keys view into Entry::key, which a list node never moves.
-  using Index = std::unordered_map<std::string_view, Lru::iterator>;
+  using Index = std::unordered_map<std::string_view, Ring::iterator>;
+  /// Indices into counters_.
+  enum : std::size_t { kHits, kReplyHits, kMisses, kInvalidations, kCount };
 
   /// True while nothing `e` read has changed (file comment, rules 2 and 3).
   bool Fresh(const Entry& e) const {
@@ -191,26 +215,41 @@ class ResultCache {
   }
   /// Whether `index` holds a fresh entry for `key`, changing nothing.
   bool Holds(const Index& index, std::string_view key) const
-      ISIS_REQUIRES(mu_);
-  /// The fresh entry for `key` in `index`, moved to the LRU front, or
-  /// null. A stale entry is dropped and counted as an invalidation.
-  Entry* Find(Index* index, std::string_view key) ISIS_REQUIRES(mu_);
-  /// Stamps `e` and stores it at the LRU front under `index`, evicting the
-  /// LRU tail beyond capacity. A no-op if the database has moved past
+      ISIS_REQUIRES_SHARED(mu_);
+  /// The fresh entry for `key` in `index` with its reference bit set, or
+  /// null. The first lookup to find an entry stale marks it dead and counts
+  /// an invalidation.
+  const Entry* Find(const Index& index, std::string_view key)
+      ISIS_REQUIRES_SHARED(mu_);
+  /// Stamps `e` and stores it as the newest entry under `index`, sweeping
+  /// room beyond capacity. A no-op if the database has moved past
   /// `computed_at` (`e` may reflect a half-applied change) or if `index`
-  /// holds `e.key` already (a concurrent reader won the race; the entries
-  /// are identical).
+  /// holds a fresh `e.key` already (a concurrent reader won the race; the
+  /// entries are identical); a stale one is replaced.
   void Admit(Index* index, Entry e, std::uint64_t computed_at)
       ISIS_REQUIRES(mu_);
+  /// Unlinks `node` from its index and the ring, keeping the hand valid.
+  void Drop(Ring::iterator node) ISIS_REQUIRES(mu_);
+  /// Frees one slot: every dead entry if there are any (they were already
+  /// dropped in all but memory), else the first entry from the hand on
+  /// whose reference bit is clear, clearing set bits on the way.
+  void MakeRoom() ISIS_REQUIRES(mu_);
 
   const sdm::Database* const db_;
   const Options options_;
 
-  mutable Mutex mu_;
-  Lru lru_ ISIS_GUARDED_BY(mu_);
+  mutable RwMutex mu_;
+  Ring ring_ ISIS_GUARDED_BY(mu_);
+  Ring::iterator hand_ ISIS_GUARDED_BY(mu_) = ring_.end();
   Index index_ ISIS_GUARDED_BY(mu_);    ///< Id-set entries.
   Index replies_ ISIS_GUARDED_BY(mu_);  ///< Reply entries.
-  Counters counters_ ISIS_GUARDED_BY(mu_);
+  /// Ring nodes marked dead and not yet dropped.
+  std::atomic<std::int64_t> dead_{0};
+  std::int64_t insertions_ ISIS_GUARDED_BY(mu_) = 0;
+  std::int64_t evictions_ ISIS_GUARDED_BY(mu_) = 0;
+  /// Hits, reply hits, misses and invalidations: written by lookups under
+  /// the shared side, so per thread.
+  ShardedCounters<kCount> counters_;
 };
 
 }  // namespace isis::query

@@ -18,21 +18,21 @@ Executor::Executor(const Options& options, ServerStats* stats)
 Executor::~Executor() { Shutdown(); }
 
 void Executor::AddLane(std::int64_t lane) {
-  MutexLock lock(mu_);
-  auto& slot = lanes_[lane];
-  if (slot == nullptr) slot = std::make_shared<Lane>();
-  slot->removed = false;
+  WriterLock lock(lanes_mu_);
+  std::unique_ptr<Lane>& slot = lanes_[lane];
+  if (slot == nullptr) {
+    slot = std::make_unique<Lane>(lane);
+  } else {
+    slot->state.fetch_and(~kRemoved);
+  }
 }
 
 void Executor::RemoveLane(std::int64_t lane) {
-  MutexLock lock(mu_);
+  WriterLock lock(lanes_mu_);
   auto it = lanes_.find(lane);
   if (it == lanes_.end()) return;
-  if (!it->second->running && it->second->queue.empty()) {
-    lanes_.erase(it);
-  } else {
-    it->second->removed = true;  // Drains, then the worker erases it.
-  }
+  // A busy lane drains first; FinishLane erases it then.
+  if (it->second->state.fetch_or(kRemoved) == 0) lanes_.erase(it);
 }
 
 SubmitResult Executor::Submit(std::int64_t lane, TaskMode mode, TaskFn task,
@@ -46,18 +46,22 @@ SubmitResult Executor::Submit(std::int64_t lane, TaskMode mode, TaskFn task,
     t.on_expired = std::move(on_expired);
   }
   MutexLock lock(mu_);
-  if (closed_) return SubmitResult::kClosed;
+  if (closed_.load()) return SubmitResult::kClosed;
+  ReaderLock lanes(lanes_mu_);
   auto it = lanes_.find(lane);
-  if (it == lanes_.end() || it->second->removed) return SubmitResult::kClosed;
+  if (it == lanes_.end()) return SubmitResult::kClosed;
   Lane& l = *it->second;
+  if ((l.state.load() & kRemoved) != 0) return SubmitResult::kClosed;
   if (!important &&
       l.queue.size() >= static_cast<std::size_t>(options_.queue_capacity)) {
     return SubmitResult::kShed;
   }
   l.queue.push_back(std::move(t));
   if (stats_) stats_->AdjustQueueDepth(+1);
-  if (!l.running && l.queue.size() == 1) {
-    ready_.push_back(lane);
+  // A running lane is handed to the workers by FinishLane; an idle one
+  // goes to them now.
+  if ((l.state.fetch_or(kQueued) & (kRunning | kQueued)) == 0) {
+    ready_.push_back(&l);
     work_cv_.NotifyOne();
   }
   return SubmitResult::kAccepted;
@@ -69,40 +73,64 @@ void Executor::RecordLockWait(bool exclusive,
   stats_->RecordDispatch(exclusive, std::chrono::steady_clock::now() - t0);
 }
 
+Executor::Lane* Executor::ClaimIdle(std::int64_t lane_id) {
+  ReaderLock lock(lanes_mu_);
+  auto it = lanes_.find(lane_id);
+  if (it == lanes_.end()) return nullptr;
+  std::uint32_t idle = 0;
+  if (!it->second->state.compare_exchange_strong(idle, kRunning)) {
+    return nullptr;  // Running, queued or removed.
+  }
+  return it->second.get();
+}
+
 bool Executor::RunInline(std::int64_t lane_id, TaskMode mode,
                          const TaskFn& task) {
-  std::shared_ptr<Lane> lane;
-  {
-    MutexLock lock(mu_);
-    if (closed_) return false;
-    auto it = lanes_.find(lane_id);
-    if (it == lanes_.end()) return false;
-    Lane& l = *it->second;
-    if (l.removed || l.running || !l.queue.empty()) return false;
-    // From here the lane looks exactly as if a worker had claimed it:
-    // submissions queue behind this task and Shutdown() waits for it.
-    l.running = true;
-    ++in_flight_;
-    lane = it->second;
+  // From the claim on, the lane looks exactly as if a worker had taken it:
+  // submissions queue behind this task and Shutdown() waits for it.
+  Lane* lane = ClaimIdle(lane_id);
+  if (lane == nullptr) return false;
+  if (closed_.load()) {
+    FinishLane(lane);
+    return false;
   }
   if (stats_) stats_->RecordInlineRun();
   RunTask(mode, task);
-  FinishLane(lane, lane_id);
+  FinishLane(lane);
   return true;
 }
 
-void Executor::FinishLane(const std::shared_ptr<Lane>& lane,
-                          std::int64_t lane_id) {
-  MutexLock lock(mu_);
-  lane->running = false;
-  --in_flight_;
-  if (!lane->queue.empty()) {
-    ready_.push_back(lane_id);
+void Executor::FinishLane(Lane* lane) {
+  // Read before the release: once the lane is idle another thread may
+  // remove and erase it.
+  const std::int64_t id = lane->id;
+  const std::uint32_t was = lane->state.fetch_and(~kRunning);
+  if ((was & kQueued) != 0) {
+    // Still queued, so not erasable, and no other thread hands it over:
+    // Submit saw it running.
+    MutexLock lock(mu_);
+    ready_.push_back(lane);
     work_cv_.NotifyOne();
-  } else if (lane->removed) {
-    lanes_.erase(lane_id);
+  } else if ((was & kRemoved) != 0) {
+    WriterLock lock(lanes_mu_);
+    auto it = lanes_.find(id);
+    // AddLane may have revived the lane since; erase only a removed one.
+    if (it != lanes_.end() && it->second->state.load() == kRemoved) {
+      lanes_.erase(it);
+    }
   }
-  if (closed_ && in_flight_ == 0 && ready_.empty()) work_cv_.NotifyAll();
+  if (closed_.load()) {
+    MutexLock lock(mu_);
+    drained_cv_.NotifyAll();
+  }
+}
+
+bool Executor::AnyLaneBusy() {
+  ReaderLock lock(lanes_mu_);
+  for (const auto& [id, lane] : lanes_) {
+    if ((lane->state.load() & (kRunning | kQueued)) != 0) return true;
+  }
+  return false;
 }
 
 void Executor::RunTask(TaskMode mode, const TaskFn& fn) {
@@ -136,22 +164,20 @@ void Executor::WorkerLoop() {
   for (;;) {
     work_cv_.Wait(lock, [this] {
       mu_.AssertHeld();
-      return !ready_.empty() || (closed_ && in_flight_ == 0);
+      return !ready_.empty() || stopping_;
     });
-    if (ready_.empty()) {
-      if (closed_ && in_flight_ == 0) return;
-      continue;
-    }
-    std::int64_t lane_id = ready_.front();
+    if (ready_.empty()) return;  // Stopping, and every lane drained.
+    Lane* lane = ready_.front();
     ready_.pop_front();
-    auto it = lanes_.find(lane_id);
-    if (it == lanes_.end()) continue;
-    std::shared_ptr<Lane> lane = it->second;
-    if (lane->queue.empty() || lane->running) continue;
     Task task = std::move(lane->queue.front());
     lane->queue.pop_front();
-    lane->running = true;
-    ++in_flight_;
+    // Claim the lane and, with its last task taken, clear kQueued, in one
+    // step: RemoveLane may set kRemoved concurrently.
+    const std::uint32_t drop = lane->queue.empty() ? kQueued : 0;
+    std::uint32_t state = lane->state.load();
+    while (!lane->state.compare_exchange_weak(state,
+                                              (state | kRunning) & ~drop)) {
+    }
     lock.Unlock();
 
     if (stats_) stats_->AdjustQueueDepth(-1);
@@ -165,15 +191,22 @@ void Executor::WorkerLoop() {
       RunTask(task.mode, task.fn);
     }
 
-    FinishLane(lane, lane_id);
+    FinishLane(lane);
     lock.Lock();
   }
 }
 
 void Executor::Shutdown() {
+  closed_.store(true);
   {
     MutexLock lock(mu_);
-    closed_ = true;
+    // Every accepted task runs before the workers stop. A lane released
+    // after the closed flag was set wakes this wait.
+    drained_cv_.Wait(lock, [this] {
+      mu_.AssertHeld();
+      return !AnyLaneBusy();
+    });
+    stopping_ = true;
   }
   work_cv_.NotifyAll();
   for (std::thread& t : workers_) {

@@ -228,7 +228,7 @@ Status Server::ReplayRecord(
 
 std::string Server::Shutdown() {
   {
-    MutexLock lock(sessions_mu_);
+    WriterLock lock(sessions_mu_);
     if (shut_down_) return stats_.ToJsonLine();
     shut_down_ = true;
   }
@@ -268,12 +268,12 @@ std::string Server::Shutdown() {
 }
 
 int Server::session_count() const {
-  MutexLock lock(sessions_mu_);
+  ReaderLock lock(sessions_mu_);
   return static_cast<int>(sessions_.size());
 }
 
 std::shared_ptr<Session> Server::FindSession(std::int64_t id) const {
-  MutexLock lock(sessions_mu_);
+  ReaderLock lock(sessions_mu_);
   auto it = sessions_.find(id);
   return it == sessions_.end() ? nullptr : it->second;
 }
@@ -289,10 +289,8 @@ void Server::SyncCacheStats() {
 void Server::Finish(const Frame& req, const Frame& resp,
                     ResponseCallback& done,
                     std::chrono::steady_clock::time_point t0) {
-  auto latency = std::chrono::duration_cast<std::chrono::microseconds>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count();
-  stats_.RecordRequest(static_cast<int>(req.type), latency,
+  stats_.RecordRequest(static_cast<int>(req.type),
+                       std::chrono::steady_clock::now() - t0,
                        resp.type == MsgType::kError);
   done(resp);
 }
@@ -311,36 +309,45 @@ void Server::ReplyAfterCommit(store::GroupCommitter::Ticket ticket,
 
 // --- Request routing. ---
 
+struct Server::Rendezvous {
+  Mutex mu;
+  CondVar cv;
+  bool ready ISIS_GUARDED_BY(mu) = false;
+  Frame resp ISIS_GUARDED_BY(mu);
+};
+
+ResponseCallback Server::QueuedAnswer(const ResponseCallback& done,
+                                      std::shared_ptr<Rendezvous>* handoff) {
+  if (handoff == nullptr) return done;
+  auto state = std::make_shared<Rendezvous>();
+  *handoff = state;
+  return [state](const Frame& resp) {
+    MutexLock lock(state->mu);
+    state->resp = resp;
+    state->ready = true;
+    state->cv.NotifyOne();
+  };
+}
+
 void Server::HandleFrame(std::int64_t session_id, const Frame& request,
                          ResponseCallback done) {
-  Route(session_id, request, std::move(done), /*run_inline=*/false);
+  Route(session_id, request, done, /*handoff=*/nullptr);
 }
 
 Result<Frame> Server::Call(std::int64_t session_id, const Frame& request) {
-  // A queued request may be answered after our deadline passed, so the
-  // rendezvous state is shared with the callback, not stack.
-  struct Rendezvous {
-    Mutex mu;
-    CondVar cv;
-    bool ready = false;
-    Frame resp;
-  };
-  auto state = std::make_shared<Rendezvous>();
-  Route(
-      session_id, request,
-      [state](const Frame& resp) {
-        MutexLock lock(state->mu);
-        state->resp = resp;
-        state->ready = true;
-        state->cv.NotifyOne();
-      },
-      /*run_inline=*/true);
+  // An inline run answers into this frame. A queued request answers a heap
+  // rendezvous instead, which Route hands back in `queued`: the wait below
+  // is deadline-bounded, so the worker may answer after Call returned.
+  Frame reply;
+  ResponseCallback on_stack = [&reply](const Frame& resp) { reply = resp; };
+  std::shared_ptr<Rendezvous> queued;
+  Route(session_id, request, on_stack, &queued);
+  if (queued == nullptr) return reply;
 
-  // An inline run has already answered; only a queued one is waited for.
-  MutexLock lock(state->mu);
+  MutexLock lock(queued->mu);
   auto answered = [&] {
-    state->mu.AssertHeld();
-    return state->ready;
+    queued->mu.AssertHeld();
+    return queued->ready;
   };
   if (request.deadline_ms > 0) {
     // The executor enforces deadline_ms before dispatch, so allow it slack
@@ -348,17 +355,18 @@ Result<Frame> Server::Call(std::int64_t session_id, const Frame& request) {
     // wait still ends.
     const auto budget = std::chrono::milliseconds(request.deadline_ms) +
                         std::chrono::milliseconds(250);
-    if (!state->cv.WaitFor(lock, budget, answered)) {
+    if (!queued->cv.WaitFor(lock, budget, answered)) {
       return Status::IOError("server response timed out");
     }
   } else {
-    state->cv.Wait(lock, answered);
+    queued->cv.Wait(lock, answered);
   }
-  return std::move(state->resp);
+  return std::move(queued->resp);
 }
 
 void Server::Route(std::int64_t session_id, const Frame& request,
-                   ResponseCallback done, bool run_inline) {
+                   ResponseCallback& done,
+                   std::shared_ptr<Rendezvous>* handoff) {
   auto t0 = std::chrono::steady_clock::now();
 
   if (request.type == MsgType::kPing) {
@@ -399,7 +407,7 @@ void Server::Route(std::int64_t session_id, const Frame& request,
     }
     std::int64_t id;
     {
-      MutexLock lock(sessions_mu_);
+      WriterLock lock(sessions_mu_);
       if (shut_down_) {
         Frame resp = ErrorFrame(
             request, Status::Unavailable("server is shutting down"));
@@ -409,28 +417,22 @@ void Server::Route(std::int64_t session_id, const Frame& request,
       id = next_session_id_++;
     }
     executor_->AddLane(id);
-    TaskFn task = [this, id, request, done, t0]() mutable -> PostLockFn {
-      auto s = std::make_shared<Session>(id, ws_.get(), live_.get());
-      {
-        MutexLock lock(sessions_mu_);
-        sessions_[id] = s;
-      }
-      Frame resp;
-      resp.type = MsgType::kOk;
-      resp.seq = request.seq;
-      resp.payload = JoinFields({std::to_string(id), ws_->name()});
-      Finish(request, resp, done, t0);
-      return {};
-    };
-    if (run_inline && executor_->RunInline(id, TaskMode::kShared, task)) {
+    auto body = [&]() -> PostLockFn { return Welcome(id, request, done, t0); };
+    if (handoff != nullptr &&
+        executor_->RunInline(id, TaskMode::kShared, std::ref(body))) {
       return;
     }
-    SubmitResult r = executor_->Submit(id, TaskMode::kShared, std::move(task),
-                                       /*important=*/true);
+    ResponseCallback answer = QueuedAnswer(done, handoff);
+    SubmitResult r = executor_->Submit(
+        id, TaskMode::kShared,
+        [this, id, request, answer, t0]() mutable -> PostLockFn {
+          return Welcome(id, request, answer, t0);
+        },
+        /*important=*/true);
     if (r != SubmitResult::kAccepted) {
-      Frame resp =
-          ErrorFrame(request, Status::Unavailable("server is closed"));
-      Finish(request, resp, done, t0);
+      Finish(request,
+             ErrorFrame(request, Status::Unavailable("server is closed")),
+             answer, t0);
     }
     return;
   }
@@ -476,191 +478,43 @@ void Server::Route(std::int64_t session_id, const Frame& request,
     }
   }
 
-  TaskFn task;
-  if (mode == TaskMode::kShared) {
-    task = [this, s, request, done, t0]() mutable -> PostLockFn {
-      // Detect reads that needed to intern an unseen value: either the
-      // engine returned Unavailable, or a degraded naming read bumped the
-      // thread-local miss counter. Re-run those under the exclusive lock.
-      std::int64_t misses_before = sdm::Database::InternMissCount();
-      Frame resp = HandleReadLocked(s, request);
-      if (sdm::Database::InternMissCount() != misses_before ||
-          IsUnavailableResponse(resp)) {
-        stats_.RecordPromotion();
-        SubmitResult r = executor_->Submit(
-            s->id(), TaskMode::kExclusive,
-            [this, s, request, done, t0]() mutable -> PostLockFn {
-              ws_->db().set_intern_frozen(false);
-              Frame retry = HandleReadLocked(s, request);
-              ws_->db().set_intern_frozen(true);
-              FanOutDeltas();  // Interning may have touched memberships.
-              Finish(request, retry, done, t0);
-              return {};
-            },
-            /*important=*/true);
-        if (r != SubmitResult::kAccepted) {
-          Finish(request,
-                 ErrorFrame(request, Status::Unavailable("server is closed")),
-                 done, t0);
-        }
-        return {};
-      }
-      Finish(request, resp, done, t0);
-      return {};
-    };
-  } else if (mode == TaskMode::kExclusive) {
-    // The WAL record is assembled here, on the transport's thread -- string
-    // building has no business inside the exclusive section.
-    std::string wal_type;
-    std::string wal_payload;
-    if (request.type == MsgType::kEvent) {
-      wal_type = "sevent";
-      wal_payload = std::to_string(s->id()) + "|" + request.payload;
-    } else {
-      wal_type = "assign";
-      wal_payload = request.payload;
-    }
-    // Every path of this task answers from its post-lock continuation
-    // (executor rule 6), so no reply is built or sent under the writer lock.
-    task = [this, s, request, done, t0, wal_type = std::move(wal_type),
-            wal_payload = std::move(wal_payload)]() mutable -> PostLockFn {
-      // A resend of the write we just applied (its response was lost in
-      // flight): replay the cached response instead of applying twice.
-      if (request.write_seq != 0 &&
-          request.write_seq == s->last_write_seq()) {
-        stats_.RecordDedupHit();
-        Frame resp = s->last_write_response();
-        resp.seq = request.seq;
-        return [this, request, resp = std::move(resp),
-                ticket = s->last_write_ticket(), done = std::move(done),
-                t0]() mutable {
-          ReplyAfterCommit(ticket, request, resp, done, t0);
-        };
-      }
-      if (committer_ != nullptr) {
-        // A failed WAL write is sticky, so nothing applied from here on
-        // could be logged: refuse the mutation before it touches the
-        // database. Reads keep working.
-        Status wal = committer_->status();
-        if (!wal.ok()) {
-          return [this, request, resp = ErrorFrame(request, wal),
-                  done = std::move(done), t0]() mutable {
-            Finish(request, resp, done, t0);
-          };
-        }
-      }
-      bool log_wal = false;
-      const std::uint64_t saved_before = ws_->save_version();
-      ws_->db().set_intern_frozen(false);
-      Frame resp = HandleWriteLocked(s, request, &log_wal);
-      ws_->db().set_intern_frozen(true);
-      FanOutDeltas();
-      // Enqueue while the writer lock is still held (a queue push, no
-      // I/O), so WAL order always equals apply order. The wait -- and the
-      // fsync behind it -- happens in the continuation, after the lock is
-      // released; until then the reply does not exist.
-      store::GroupCommitter::Ticket ticket;
-      bool wait = false;
-      if (log_wal && committer_ != nullptr) {
-        ticket =
-            committer_->Enqueue(std::move(wal_type), std::move(wal_payload));
-        // Only a write that may have changed the database waits for its
-        // commit. A gesture that moved nothing but its own session's UI
-        // state answers now: its record rides with the next waited commit
-        // (the log is one ordered prefix, so that commit makes it durable
-        // first), and recovery discards session UI state anyway. After
-        // max_unwaited_ records without a waiter one reply waits again, so
-        // the committer's queue always has a drainer coming.
-        wait = request.type == MsgType::kAssign ||
-               ws_->save_version() != saved_before ||
-               unwaited_records_ >= max_unwaited_;
-        if (wait) {
-          unwaited_records_ = 0;
-        } else {
-          ++unwaited_records_;
-          stats_.RecordUnwaitedReply();
-        }
-      }
-      // The writer lock ends here. A gesture's screen is serialized after
-      // it: DoEvent left it rendered in the session's controller, which
-      // only this lane touches, and rule 6 runs the continuation before the
-      // lane's next task. The finished reply goes into the dedup window
-      // before the commit wait, so a resend gets the same bytes.
-      return [this, s, request, resp = std::move(resp), ticket, wait,
-              done = std::move(done), t0]() mutable {
-        if (resp.type == MsgType::kScreen) {
-          resp.payload = ScreenPayload(s->ctrl());
-        }
-        if (request.write_seq != 0) {
-          s->set_last_write(request.write_seq, resp, ticket);
-        }
-        ReplyAfterCommit(wait ? ticket : store::GroupCommitter::Ticket{},
-                         request, resp, done, t0);
-      };
-    };
-  } else {
-    task = [this, s, request, done, t0]() mutable -> PostLockFn {
-      Frame resp;
-      resp.seq = request.seq;
-      switch (request.type) {
-        case MsgType::kStats:
-          SyncCacheStats();
-          resp.type = MsgType::kStatsResult;
-          resp.payload = stats_.ToJsonLine();
-          break;
-        case MsgType::kPoll: {
-          std::vector<std::string> notifs = s->DrainNotifications();
-          std::vector<std::string> fields;
-          fields.push_back(std::to_string(notifs.size()));
-          for (std::string& n : notifs) fields.push_back(std::move(n));
-          resp.type = MsgType::kOk;
-          resp.payload = JoinFields(fields);
-          break;
-        }
-        case MsgType::kSubscribe:
-        case MsgType::kUnsubscribe: {
-          std::vector<std::string> fields = SplitFields(request.payload);
-          const std::string cls = fields.empty() ? "*" : fields[0];
-          if (request.type == MsgType::kSubscribe) {
-            s->Subscribe(cls);
-          } else {
-            s->Unsubscribe(cls);
-          }
-          resp.type = MsgType::kOk;
-          break;
-        }
-        case MsgType::kBye: {
-          {
-            MutexLock lock(sessions_mu_);
-            sessions_.erase(s->id());
-          }
-          executor_->RemoveLane(s->id());  // Drains, then the lane dies.
-          resp.type = MsgType::kOk;
-          break;
-        }
-        default:
-          resp = ErrorFrame(request, Status::Internal("bad kNone dispatch"));
-          break;
-      }
-      Finish(request, resp, done, t0);
-      return {};
-    };
+  // A write's WAL record is assembled here, on the transport's thread --
+  // string building has no business inside the exclusive section.
+  WalRecord wal;
+  if (request.type == MsgType::kEvent) {
+    wal = {"sevent", std::to_string(s->id()) + "|" + request.payload};
+  } else if (request.type == MsgType::kAssign) {
+    wal = {"assign", request.payload};
   }
 
-  if (run_inline && executor_->RunInline(s->id(), mode, task)) return;
+  // Inline, the task borrows everything from this frame (std::ref: the
+  // TaskFn holds a reference, not a copy).
+  auto body = [&]() -> PostLockFn {
+    return Serve(mode, s, request, done, handoff, wal, t0);
+  };
+  if (handoff != nullptr && executor_->RunInline(s->id(), mode, std::ref(body))) {
+    return;
+  }
+  // Queued, the task owns its request and answers a callback that outlives
+  // this call.
+  ResponseCallback answer = QueuedAnswer(done, handoff);
+  TaskFn task = [this, mode, s, request, answer, wal = std::move(wal),
+                 t0]() mutable -> PostLockFn {
+    return Serve(mode, s, request, answer, nullptr, wal, t0);
+  };
   std::function<void()> on_expired;
   if (request.deadline_ms > 0) {
     // Expired while queued: answer without touching the database. To the
     // client this is indistinguishable from kRetry -- nothing happened,
     // resend if the budget allows (same write_seq, so a resent write still
     // dedupes against an earlier application).
-    on_expired = [this, request, done, t0]() mutable {
+    on_expired = [this, request, answer, t0]() mutable {
       Frame resp;
       resp.type = MsgType::kDeadlineExceeded;
       resp.seq = request.seq;
       resp.payload =
           "deadline_exceeded|" + std::to_string(request.deadline_ms);
-      Finish(request, resp, done, t0);
+      Finish(request, resp, answer, t0);
     };
   }
   SubmitResult r =
@@ -673,12 +527,206 @@ void Server::Route(std::int64_t session_id, const Frame& request,
     resp.seq = request.seq;
     resp.payload =
         "queue_full|" + std::to_string(options_.queue_capacity);
-    Finish(request, resp, done, t0);
+    Finish(request, resp, answer, t0);
   } else if (r == SubmitResult::kClosed) {
     Frame resp = ErrorFrame(
         request, Status::Unavailable("server closed or session gone"));
-    Finish(request, resp, done, t0);
+    Finish(request, resp, answer, t0);
   }
+}
+
+PostLockFn Server::Welcome(std::int64_t id, const Frame& request,
+                           ResponseCallback& done,
+                           std::chrono::steady_clock::time_point t0) {
+  auto s = std::make_shared<Session>(id, ws_.get(), live_.get());
+  {
+    WriterLock lock(sessions_mu_);
+    sessions_[id] = s;
+  }
+  Frame resp;
+  resp.type = MsgType::kOk;
+  resp.seq = request.seq;
+  resp.payload = JoinFields({std::to_string(id), ws_->name()});
+  Finish(request, resp, done, t0);
+  return {};
+}
+
+PostLockFn Server::Serve(TaskMode mode, const std::shared_ptr<Session>& s,
+                         const Frame& request, ResponseCallback& done,
+                         std::shared_ptr<Rendezvous>* handoff, WalRecord& wal,
+                         std::chrono::steady_clock::time_point t0) {
+  switch (mode) {
+    case TaskMode::kShared:
+      return ServeRead(s, request, done, handoff, t0);
+    case TaskMode::kExclusive:
+      return ServeWrite(s, request, done, wal, t0);
+    case TaskMode::kNone:
+      break;
+  }
+  return ServeLocal(*s, request, done, t0);
+}
+
+PostLockFn Server::ServeRead(const std::shared_ptr<Session>& s,
+                             const Frame& request, ResponseCallback& done,
+                             std::shared_ptr<Rendezvous>* handoff,
+                             std::chrono::steady_clock::time_point t0) {
+  // Detect reads that needed to intern an unseen value: either the engine
+  // returned Unavailable, or a degraded naming read bumped the thread-local
+  // miss counter. Re-run those under the exclusive lock.
+  std::int64_t misses_before = sdm::Database::InternMissCount();
+  Frame resp = HandleReadLocked(s, request);
+  if (sdm::Database::InternMissCount() == misses_before &&
+      !IsUnavailableResponse(resp)) {
+    Finish(request, resp, done, t0);
+    return {};
+  }
+  stats_.RecordPromotion();
+  ResponseCallback answer = QueuedAnswer(done, handoff);
+  SubmitResult r = executor_->Submit(
+      s->id(), TaskMode::kExclusive,
+      [this, s, request, answer, t0]() mutable -> PostLockFn {
+        ws_->db().set_intern_frozen(false);
+        Frame retry = HandleReadLocked(s, request);
+        ws_->db().set_intern_frozen(true);
+        FanOutDeltas();  // Interning may have touched memberships.
+        Finish(request, retry, answer, t0);
+        return {};
+      },
+      /*important=*/true);
+  if (r != SubmitResult::kAccepted) {
+    Finish(request, ErrorFrame(request, Status::Unavailable("server is closed")),
+           answer, t0);
+  }
+  return {};
+}
+
+PostLockFn Server::ServeWrite(const std::shared_ptr<Session>& s,
+                              const Frame& request, ResponseCallback& done,
+                              WalRecord& wal,
+                              std::chrono::steady_clock::time_point t0) {
+  // Every path answers from its post-lock continuation (executor rule 6),
+  // so no reply is built or sent under the writer lock. The continuations
+  // may hold references to `s`, `request` and `done`: their owner -- the
+  // caller's frame inline, the task queued -- outlives the continuation.
+  //
+  // A resend of the write we just applied (its response was lost in
+  // flight): replay the cached response instead of applying twice.
+  if (request.write_seq != 0 && request.write_seq == s->last_write_seq()) {
+    stats_.RecordDedupHit();
+    Frame resp = s->last_write_response();
+    resp.seq = request.seq;
+    return [this, &request, &done, resp = std::move(resp),
+            ticket = s->last_write_ticket(), t0] {
+      ReplyAfterCommit(ticket, request, resp, done, t0);
+    };
+  }
+  if (committer_ != nullptr) {
+    // A failed WAL write is sticky, so nothing applied from here on could
+    // be logged: refuse the mutation before it touches the database. Reads
+    // keep working.
+    Status failed = committer_->status();
+    if (!failed.ok()) {
+      return [this, &request, &done, resp = ErrorFrame(request, failed), t0] {
+        Finish(request, resp, done, t0);
+      };
+    }
+  }
+  bool log_wal = false;
+  const std::uint64_t saved_before = ws_->save_version();
+  ws_->db().set_intern_frozen(false);
+  Frame resp = HandleWriteLocked(s, request, &log_wal);
+  ws_->db().set_intern_frozen(true);
+  FanOutDeltas();
+  // Enqueue while the writer lock is still held (a queue push, no I/O), so
+  // WAL order always equals apply order. The wait -- and the fsync behind
+  // it -- happens in the continuation, after the lock is released; until
+  // then the reply does not exist.
+  store::GroupCommitter::Ticket ticket;
+  bool wait = false;
+  if (log_wal && committer_ != nullptr) {
+    ticket = committer_->Enqueue(std::move(wal.type), std::move(wal.payload));
+    // Only a write that may have changed the database waits for its
+    // commit. A gesture that moved nothing but its own session's UI state
+    // answers now: its record rides with the next waited commit (the log
+    // is one ordered prefix, so that commit makes it durable first), and
+    // recovery discards session UI state anyway. After max_unwaited_
+    // records without a waiter one reply waits again, so the committer's
+    // queue always has a drainer coming.
+    wait = request.type == MsgType::kAssign ||
+           ws_->save_version() != saved_before ||
+           unwaited_records_ >= max_unwaited_;
+    if (wait) {
+      unwaited_records_ = 0;
+    } else {
+      ++unwaited_records_;
+      stats_.RecordUnwaitedReply();
+    }
+  }
+  // The writer lock ends here. A gesture's screen is serialized after it:
+  // DoEvent left it rendered in the session's controller, which only this
+  // lane touches, and rule 6 runs the continuation before the lane's next
+  // task. The finished reply goes into the dedup window before the commit
+  // wait, so a resend gets the same bytes.
+  return [this, &s, &request, &done, resp = std::move(resp), ticket, wait,
+          t0]() mutable {
+    if (resp.type == MsgType::kScreen) {
+      resp.payload = ScreenPayload(s->ctrl());
+    }
+    if (request.write_seq != 0) {
+      s->set_last_write(request.write_seq, resp, ticket);
+    }
+    ReplyAfterCommit(wait ? ticket : store::GroupCommitter::Ticket{},
+                     request, resp, done, t0);
+  };
+}
+
+PostLockFn Server::ServeLocal(Session& s, const Frame& request,
+                              ResponseCallback& done,
+                              std::chrono::steady_clock::time_point t0) {
+  Frame resp;
+  resp.seq = request.seq;
+  switch (request.type) {
+    case MsgType::kStats:
+      SyncCacheStats();
+      resp.type = MsgType::kStatsResult;
+      resp.payload = stats_.ToJsonLine();
+      break;
+    case MsgType::kPoll: {
+      std::vector<std::string> notifs = s.DrainNotifications();
+      std::vector<std::string> fields;
+      fields.push_back(std::to_string(notifs.size()));
+      for (std::string& n : notifs) fields.push_back(std::move(n));
+      resp.type = MsgType::kOk;
+      resp.payload = JoinFields(fields);
+      break;
+    }
+    case MsgType::kSubscribe:
+    case MsgType::kUnsubscribe: {
+      std::vector<std::string> fields = SplitFields(request.payload);
+      const std::string cls = fields.empty() ? "*" : fields[0];
+      if (request.type == MsgType::kSubscribe) {
+        s.Subscribe(cls);
+      } else {
+        s.Unsubscribe(cls);
+      }
+      resp.type = MsgType::kOk;
+      break;
+    }
+    case MsgType::kBye: {
+      {
+        WriterLock lock(sessions_mu_);
+        sessions_.erase(s.id());
+      }
+      executor_->RemoveLane(s.id());  // Drains, then the lane dies.
+      resp.type = MsgType::kOk;
+      break;
+    }
+    default:
+      resp = ErrorFrame(request, Status::Internal("bad kNone dispatch"));
+      break;
+  }
+  Finish(request, resp, done, t0);
+  return {};
 }
 
 // --- Handlers (lock already held by the worker). ---
@@ -889,7 +937,7 @@ void Server::FanOutDeltas() {
   if (changes.empty()) return;
   std::vector<std::shared_ptr<Session>> targets;
   {
-    MutexLock lock(sessions_mu_);
+    ReaderLock lock(sessions_mu_);
     for (const auto& [id, s] : sessions_) targets.push_back(s);
   }
   for (const DeltaCollector::Change& c : changes) {

@@ -277,11 +277,57 @@ class Server {
                       std::map<std::int64_t,
                                std::unique_ptr<ui::SessionController>>* ctrls);
 
+  /// A queued Call's meeting point with the thread that answers it; heap
+  /// and shared with the answer callback, since Call's wait is
+  /// deadline-bounded and the answer may come after Call returned.
+  struct Rendezvous;
+  /// A write's WAL record, built on the transport's thread before the
+  /// exclusive task runs.
+  struct WalRecord {
+    std::string type;
+    std::string payload;
+  };
+
   /// The body of HandleFrame and Call: validates, picks the lock mode,
-  /// builds the task and runs it -- on the calling thread iff `run_inline`
-  /// and the lane is idle, otherwise through the executor's queue.
+  /// builds the task and runs it. `handoff` null (HandleFrame): the task is
+  /// always queued, and `done` is copied into it. Non-null (Call): the task
+  /// runs on the calling thread iff the lane is idle, answering `done`
+  /// before Route returns; a request queued instead -- a busy lane, or a
+  /// promoted read's exclusive re-run -- answers a heap rendezvous that
+  /// Route stores in `*handoff` for Call to wait on.
   void Route(std::int64_t session_id, const Frame& request,
-             ResponseCallback done, bool run_inline);
+             ResponseCallback& done, std::shared_ptr<Rendezvous>* handoff);
+  /// The callback a queued task answers through: `done` itself when
+  /// `handoff` is null, else a new rendezvous's, stored in `*handoff`.
+  static ResponseCallback QueuedAnswer(const ResponseCallback& done,
+                                       std::shared_ptr<Rendezvous>* handoff);
+  /// A new session's task: registers it under id `id` and answers hello.
+  PostLockFn Welcome(std::int64_t id, const Frame& request,
+                     ResponseCallback& done,
+                     std::chrono::steady_clock::time_point t0);
+  /// A session request's task, run under `mode`'s lock: ServeRead,
+  /// ServeWrite or ServeLocal. Whatever it is given -- borrowed from
+  /// Call's frame inline, owned by the task when queued -- outlives the
+  /// continuation it returns.
+  PostLockFn Serve(TaskMode mode, const std::shared_ptr<Session>& s,
+                   const Frame& request, ResponseCallback& done,
+                   std::shared_ptr<Rendezvous>* handoff, WalRecord& wal,
+                   std::chrono::steady_clock::time_point t0);
+  /// Answers a read, or queues its exclusive re-run when it needed to
+  /// intern (session.h, "Interning discipline").
+  PostLockFn ServeRead(const std::shared_ptr<Session>& s,
+                       const Frame& request, ResponseCallback& done,
+                       std::shared_ptr<Rendezvous>* handoff,
+                       std::chrono::steady_clock::time_point t0);
+  /// Applies a write and logs `wal`; answers from the continuation.
+  PostLockFn ServeWrite(const std::shared_ptr<Session>& s,
+                        const Frame& request, ResponseCallback& done,
+                        WalRecord& wal,
+                        std::chrono::steady_clock::time_point t0);
+  /// Stats, poll, (un)subscribe and bye: no database lock.
+  PostLockFn ServeLocal(Session& s, const Frame& request,
+                        ResponseCallback& done,
+                        std::chrono::steady_clock::time_point t0);
 
   // Request handlers; `shared` handlers run under the shared lock,
   // `exclusive` ones alone. All return the response frame.
@@ -344,7 +390,8 @@ class Server {
   int unwaited_records_ = 0;
   int max_unwaited_ = 0;
 
-  mutable Mutex sessions_mu_;
+  /// Looked up shared by every request; hello, bye and shutdown write.
+  mutable RwMutex sessions_mu_;
   std::map<std::int64_t, std::shared_ptr<Session>> sessions_
       ISIS_GUARDED_BY(sessions_mu_);
   std::int64_t next_session_id_ ISIS_GUARDED_BY(sessions_mu_) = 1;

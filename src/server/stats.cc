@@ -4,10 +4,10 @@
 
 namespace isis::server {
 
-double ServerStats::Percentile(const std::array<Counter, kBuckets>& buckets,
-                               const Counter& max, double q) {
+double ServerStats::Percentile(const Histogram& buckets, std::int64_t max,
+                               double q) {
   std::int64_t total = 0;
-  for (const Counter& c : buckets) total += Get(c);
+  for (std::int64_t c : buckets) total += c;
   if (total == 0) return 0.0;
   // Rank of the q-th sample, 1-based.
   std::int64_t rank = static_cast<std::int64_t>(q * static_cast<double>(total));
@@ -15,10 +15,10 @@ double ServerStats::Percentile(const std::array<Counter, kBuckets>& buckets,
   if (rank > total) rank = total;
   std::int64_t seen = 0;
   for (int b = 0; b < kBuckets; ++b) {
-    std::int64_t c = Get(buckets[static_cast<std::size_t>(b)]);
+    std::int64_t c = buckets[static_cast<std::size_t>(b)];
     if (c == 0) continue;
     if (seen + c >= rank) {
-      // Interpolate inside bucket b, which spans [lo, 2*lo) microseconds.
+      // Interpolate inside bucket b, which spans [lo, 2*lo).
       double lo = b == 0 ? 0.0 : static_cast<double>(std::int64_t{1} << b);
       double hi = static_cast<double>(std::int64_t{1} << (b + 1));
       double frac =
@@ -27,7 +27,61 @@ double ServerStats::Percentile(const std::array<Counter, kBuckets>& buckets,
     }
     seen += c;
   }
-  return static_cast<double>(Get(max));
+  return static_cast<double>(max);
+}
+
+StatsSnapshot ServerStats::Snapshot() const {
+  StatsSnapshot s;
+  s.requests = per_thread_.Sum(kRequests);
+  s.errors = per_thread_.Sum(kErrors);
+  s.sheds = Get(sheds_);
+  s.reads = per_thread_.Sum(kReads);
+  s.writes = per_thread_.Sum(kWrites);
+  s.promotions = Get(promotions_);
+  s.inline_runs = per_thread_.Sum(kInlineRuns);
+  s.notifications = Get(notifications_);
+  s.deadline_drops = Get(deadline_drops_);
+  s.dedup_hits = Get(dedup_hits_);
+  s.heartbeats = Get(heartbeats_);
+  s.resumes = Get(resumes_);
+  s.idle_reaps = Get(idle_reaps_);
+  s.eof_clean = Get(eof_clean_);
+  s.eof_truncated = Get(eof_truncated_);
+  s.queue_depth = Get(queue_depth_);
+  s.queue_peak = Get(queue_peak_);
+  s.read_lock_wait_us = per_thread_.Sum(kReadLockWaitNs) / 1000;
+  s.write_lock_wait_us = per_thread_.Sum(kWriteLockWaitNs) / 1000;
+  s.cache_hits = Get(cache_hits_);
+  s.cache_reply_hits = Get(cache_reply_hits_);
+  s.cache_misses = Get(cache_misses_);
+  s.cache_evictions = Get(cache_evictions_);
+  s.cache_invalidations = Get(cache_invalidations_);
+  s.cache_flushes = Get(cache_flushes_);
+  s.wal_batches = Get(wal_batches_);
+  s.wal_records = Get(wal_records_);
+  s.wal_syncs = Get(wal_syncs_);
+  s.wal_sync_us = Get(wal_sync_us_);
+  s.wal_group_max = Get(wal_group_max_);
+  s.unwaited_replies = Get(unwaited_replies_);
+  Histogram fsync{};
+  for (std::size_t b = 0; b < fsync.size(); ++b) {
+    fsync[b] = Get(fsync_buckets_[b]);
+  }
+  s.fsync_max_us = Get(fsync_max_us_);
+  s.fsync_p50_us = Percentile(fsync, s.fsync_max_us, 0.50);
+  s.fsync_p95_us = Percentile(fsync, s.fsync_max_us, 0.95);
+  Histogram latency{};
+  for (std::size_t b = 0; b < latency.size(); ++b) {
+    latency[b] = per_thread_.Sum(kLatency + b);
+  }
+  const std::int64_t max_ns = per_thread_.Max(kMaxNs);
+  s.p50_us = Percentile(latency, max_ns, 0.50) / 1000.0;
+  s.p95_us = Percentile(latency, max_ns, 0.95) / 1000.0;
+  s.max_us = max_ns / 1000;
+  for (std::size_t t = 0; t < s.by_type.size(); ++t) {
+    s.by_type[t] = per_thread_.Sum(kByType + t);
+  }
+  return s;
 }
 
 std::string ServerStats::ToJsonLine() const {
@@ -53,7 +107,7 @@ std::string ServerStats::ToJsonLine() const {
       "\"unwaited_replies\": %lld, "
       "\"fsync_p50_us\": %.1f, \"fsync_p95_us\": %.1f, "
       "\"fsync_max_us\": %lld, "
-      "\"p50_us\": %.1f, \"p95_us\": %.1f, \"max_us\": %lld",
+      "\"p50_us\": %.3f, \"p95_us\": %.3f, \"max_us\": %lld",
       static_cast<long long>(s.requests), static_cast<long long>(s.errors),
       static_cast<long long>(s.sheds), static_cast<long long>(s.reads),
       static_cast<long long>(s.writes), static_cast<long long>(s.promotions),

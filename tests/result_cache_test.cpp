@@ -640,6 +640,35 @@ TEST(ResultCacheReplyTest, UnrelatedWriteKeepsTheReply) {
   EXPECT_EQ(twins.counters().invalidations, 0);
 }
 
+TEST(ResultCacheReplyTest, StaleReplyIsReplacedByTheNextIdenticalRequest) {
+  auto ws = BuildScaledMusic(1);
+  sdm::Database& db = ws->db();
+  ScaledMusicHandles h = ResolveScaledMusic(*ws);
+  ResultCache rc(&db);
+  const std::string request = JoinFields({"musicians", "e.plays ]= {inst0}"});
+  Predicate q = MustParse(db, h.musicians, "e.plays ]= {inst0}");
+  const std::string key = ResultCache::NormalizeKey(q, h.musicians);
+  auto ids = CachedEval(&rc, db, h.musicians, q);
+  ASSERT_FALSE(ids->empty());
+  ASSERT_NE(rc.Lookup(key), nullptr);  // The admission rule: a reuse.
+  rc.InsertReply(request, key, q, h.musicians, "old", db.version());
+  std::string reply;
+  ASSERT_TRUE(rc.LookupReply(request, &reply));
+  EXPECT_EQ(reply, "old");
+
+  // Renaming a member the reply prints stales the reply, not the id-set.
+  ASSERT_TRUE(db.RenameEntity(*ids->begin(), "renamed_member").ok());
+  EXPECT_FALSE(rc.LookupReply(request, &reply));
+  EXPECT_FALSE(rc.LookupReply(request, &reply));
+  ASSERT_NE(rc.Lookup(key), nullptr);
+  rc.InsertReply(request, key, q, h.musicians, "new", db.version());
+  ASSERT_TRUE(rc.LookupReply(request, &reply));
+  EXPECT_EQ(reply, "new");
+  EXPECT_EQ(rc.counters().invalidations, 1)
+      << "a stale entry counts once, however often it is found";
+  EXPECT_EQ(rc.size(), 2);
+}
+
 TEST(ResultCacheReplyTest, ExplainReportsAReplyHit) {
   // Two entries fit: the third evicts the id-set the reply was made from.
   TwinServers twins;
